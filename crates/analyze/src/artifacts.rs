@@ -12,8 +12,9 @@
 //! resume happily parses.
 //!
 //! This pass is lexical and file-scoped: in each of [`RUN_DIR_FILES`],
-//! any raw file-creation call outside the [`SANCTIONED`] helper
-//! functions (and outside test code) is a finding. `manifest.rs` itself
+//! any raw file-creation call outside test code is a finding — gc's
+//! torn-partial compaction included, since it truncates through
+//! `PartialShardWriter::reopen` like a resume does. `manifest.rs` itself
 //! is exempt by construction — it *is* the sanctioned writer layer
 //! (every one of its publishers goes tmp+rename or checksummed-append),
 //! and the determinism-taint pass already covers what flows into it.
@@ -36,12 +37,6 @@ pub const RUN_DIR_FILES: [&str; 2] = ["crates/grid/src/engine.rs", "crates/grid/
 /// ends in `(` so an occurrence is always a call site).
 const RAW_WRITES: [&str; 3] = ["fs::write(", "File::create(", "OpenOptions::new("];
 
-/// `(file, function)` pairs allowed to touch the filesystem raw: only
-/// the gc compaction that truncates a torn partial to its checksum-valid
-/// prefix (truncation cannot be expressed as tmp+rename without losing
-/// the crash-safety of the append-only file it repairs).
-const SANCTIONED: [(&str, &str); 1] = [("crates/grid/src/gc.rs", "gc_run_dir")];
-
 /// Runs the pass over one file. Only [`RUN_DIR_FILES`] can produce
 /// findings; other paths return empty immediately.
 #[must_use]
@@ -57,9 +52,6 @@ pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
             continue;
         }
         let name = syntax::ident_after(cleaned, fn_off + "fn".len());
-        if SANCTIONED.contains(&(rel_path, name)) {
-            continue;
-        }
         let text = &cleaned[body.clone()];
         for needle in RAW_WRITES {
             let mut from = 0usize;
@@ -107,22 +99,16 @@ mod tests {
     }
 
     #[test]
-    fn the_sanctioned_gc_compaction_may_write_raw() {
+    fn gc_compaction_has_no_raw_write_exemption() {
         let src = "fn gc_run_dir(dir: &Path) {\n    let f = std::fs::OpenOptions::new().write(true).open(dir);\n}\n";
-        assert!(check_file("crates/grid/src/gc.rs", &Scan::new(src)).is_empty());
+        let findings = check_file("crates/grid/src/gc.rs", &Scan::new(src));
+        assert_eq!(findings.len(), 1, "{findings:?}");
     }
 
     #[test]
     fn the_manifest_writer_layer_is_exempt_by_construction() {
         let src = "fn write_atomic(path: &Path, contents: &str) {\n    std::fs::write(path, contents).ok();\n}\n";
         assert!(check_file("crates/grid/src/manifest.rs", &Scan::new(src)).is_empty());
-    }
-
-    #[test]
-    fn the_sanctioned_name_is_not_sanctioned_elsewhere() {
-        let src = "fn gc_run_dir(path: &Path) { std::fs::write(path, b\"x\").ok(); }";
-        let findings = check_file("crates/grid/src/engine.rs", &Scan::new(src));
-        assert_eq!(findings.len(), 1, "engine.rs has no sanctioned writers");
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //! the `results/bench-history/` trend tracking.
 
 use core::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use fcdpm_runner::{run_grid, run_specs, JobGrid, PolicySpec, RunConfig, WorkloadSpec};
@@ -156,22 +158,50 @@ fn physics_match(a: &SimMetrics, b: &SimMetrics) -> bool {
         && close(a.final_soc.amp_seconds(), b.final_soc.amp_seconds())
 }
 
-/// Minimum wall-clock over `reps` runs of `f`, in seconds, plus the
-/// last run's metrics.
-fn time_min<F: FnMut() -> Result<SimMetrics, String>>(
-    reps: usize,
-    mut f: F,
-) -> Result<(f64, SimMetrics), String> {
-    let mut best = f64::INFINITY;
-    let mut last = None;
+/// One arm of an A/B timing: a run that reports its simulator metrics.
+type Arm<'a> = &'a mut dyn FnMut() -> Result<SimMetrics, String>;
+
+/// Minimum wall-clock over `reps` runs of each arm, in seconds, plus
+/// each arm's last metrics. The arms alternate run by run, so load from
+/// elsewhere on the machine weighs on both alike instead of skewing
+/// their ratio.
+fn time_min_ab(reps: usize, mut arms: [Arm<'_>; 2]) -> Result<[(f64, SimMetrics); 2], String> {
+    let mut best = [f64::INFINITY; 2];
+    let mut last = [None, None];
     for _ in 0..reps {
-        let start = Instant::now();
-        let metrics = f()?;
-        best = best.min(start.elapsed().as_secs_f64());
-        last = Some(metrics);
+        for (arm, run) in arms.iter_mut().enumerate() {
+            let start = Instant::now();
+            let metrics = run()?;
+            best[arm] = best[arm].min(start.elapsed().as_secs_f64());
+            last[arm] = Some(metrics);
+        }
     }
-    last.map(|m| (best, m))
-        .ok_or_else(|| "no repetitions ran".to_owned())
+    match last {
+        [Some(a), Some(b)] => Ok([(best[0], a), (best[1], b)]),
+        _ => Err("no repetitions ran".to_owned()),
+    }
+}
+
+/// The grid section's scratch directory: one per harness run (process
+/// id plus a per-process counter), so concurrent runs never share run
+/// directories, and removed with everything in it when dropped.
+#[derive(Debug)]
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        Self(std::env::temp_dir().join(format!("fcdpm-bench-{}-{n}", std::process::id())))
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        // Best effort: a leftover scratch directory is litter, not an
+        // error worth failing the harness over.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Runs the harness.
@@ -236,12 +266,13 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
     for policy in ReferencePolicy::ALL {
         let fast_sim = HybridSimulator::dac07(&scenario.device);
         let slow_sim = HybridSimulator::dac07(&scenario.device).without_coalescing();
-        let (fast_s, fast) = time_min(reps, || {
-            run_reference_on(&fast_sim, &scenario, policy).map_err(|e| e.to_string())
-        })?;
-        let (slow_s, slow) = time_min(reps, || {
-            run_reference_on(&slow_sim, &scenario, policy).map_err(|e| e.to_string())
-        })?;
+        let [(fast_s, fast), (slow_s, slow)] = time_min_ab(
+            reps,
+            [
+                &mut || run_reference_on(&fast_sim, &scenario, policy).map_err(|e| e.to_string()),
+                &mut || run_reference_on(&slow_sim, &scenario, policy).map_err(|e| e.to_string()),
+            ],
+        )?;
         let matches = physics_match(&fast, &slow);
         if !matches {
             return Err(format!(
@@ -343,9 +374,10 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
         vec![fcdpm_grid::WorkloadKind::Experiment1],
         vec![PolicySpec::Conv, PolicySpec::FcDpm],
     );
+    let scratch = ScratchDir::new();
     let grid_config = fcdpm_grid::GridConfig {
         shard_size: 3,
-        out_dir: std::env::temp_dir().join("fcdpm-bench-grid"),
+        out_dir: scratch.0.join("grid"),
         ..fcdpm_grid::GridConfig::default()
     };
     let grid_run = fcdpm_grid::run(&grid_spec, &grid_config)
@@ -410,24 +442,21 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
     ));
 
     // Checkpoint-overhead A/B: the same grid, fresh each repetition,
-    // with mid-shard checkpointing on (default batch) and off. The
-    // fsync'd batches may cost at most 5% wall-clock plus a 5 ms
-    // absolute floor that keeps timer noise on a near-instant fixture
-    // from tripping the gate.
+    // with mid-shard checkpointing on (default batch) and off, the two
+    // alternating so both see the same machine load. The fsync'd
+    // batches may cost at most 5% wall-clock plus a 5 ms absolute floor
+    // that keeps timer noise on a near-instant fixture from tripping
+    // the gate.
+    let configs = [(32u64, "ckpt"), (0, "nockpt")].map(|(batch, name)| fcdpm_grid::GridConfig {
+        out_dir: scratch.0.join(name),
+        checkpoint_batch: batch,
+        ..fcdpm_grid::GridConfig::default()
+    });
     let mut overhead = [f64::INFINITY; 2];
-    for (slot, batch) in [(0usize, 32u64), (1, 0)] {
-        let config = fcdpm_grid::GridConfig {
-            out_dir: std::env::temp_dir().join(if batch == 0 {
-                "fcdpm-bench-grid-nockpt"
-            } else {
-                "fcdpm-bench-grid-ckpt"
-            }),
-            checkpoint_batch: batch,
-            ..fcdpm_grid::GridConfig::default()
-        };
-        for _ in 0..reps {
+    for _ in 0..reps {
+        for (slot, config) in configs.iter().enumerate() {
             let start = Instant::now();
-            fcdpm_grid::run(&grid_spec, &config)
+            fcdpm_grid::run(&grid_spec, config)
                 .map_err(|e| format!("overhead grid failed: {e}"))?;
             overhead[slot] = overhead[slot].min(start.elapsed().as_secs_f64());
         }

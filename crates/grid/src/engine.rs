@@ -13,7 +13,11 @@
 //! Resume is digest-keyed, not timestamp-keyed: a record is reused iff
 //! the spec decoded at its index hashes to the digest stored on disk.
 //! Re-running an untouched grid recomputes zero jobs; editing one axis
-//! value recomputes exactly the jobs whose specs changed.
+//! value recomputes exactly the jobs whose specs changed. A resume
+//! writes only what is new: a promoted shard whose every line is the
+//! record this run would write (same index, digest and ID, one line per
+//! job) stays on disk untouched, so an untouched resume rewrites no
+//! shard and opens no checkpoint.
 //!
 //! The [`GridAggregate`] written to `aggregate.json` is deliberately
 //! free of wall-clock or cache statistics, so a fresh run and a fully
@@ -28,10 +32,13 @@
 //! [`GridConfig::checkpoint_batch`] jobs. A `kill -9` therefore loses
 //! at most the jobs of the batch being written: `resume` replays the
 //! checkpoint's maximal valid prefix as cache hits (surfaced as
-//! [`GridRun::recovered_jobs`]) and recomputes only the rest. Shard
-//! promotion (partial → `shard-NNNNN.jsonl`) and every whole-file
-//! artifact (`grid.json`, `aggregate.json`) go through atomic
-//! tmp+rename, so no reader ever observes a torn committed artifact.
+//! [`GridRun::recovered_jobs`]), reopens the checkpoint with its torn
+//! tail cut off, and appends only the jobs it recomputes after that
+//! prefix. Shard promotion (partial → `shard-NNNNN.jsonl`) and every
+//! whole-file artifact (`grid.json`, `aggregate.json`) go through
+//! fsync'd atomic tmp+rename, so no reader ever observes a torn
+//! committed artifact, and a partial is removed only once its promoted
+//! shard is durable.
 //! The [`CrashPoint`] hooks exist solely so the integration harness can
 //! kill the process at each of these moments deterministically.
 
@@ -55,8 +62,10 @@ use crate::manifest::{
 /// it in a child process and asserts that resume repairs the damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Abort once this many jobs (1-based, counted across the
-    /// invocation) have been checkpointed to partial files.
+    /// Abort once this invocation has checkpointed this many freshly
+    /// executed jobs (1-based) to partial files. Replayed records are
+    /// never re-appended, so only jobs computed by this invocation
+    /// count — on a fresh run, every job.
     AfterJob(u64),
     /// Abort immediately before this shard is promoted partial → final.
     BeforeShardPromote(u64),
@@ -440,11 +449,23 @@ struct Checkpointer {
 }
 
 impl Checkpointer {
-    fn open(&mut self, dir: &Path, shard: u64, batch: u64) -> Result<(), String> {
-        self.writer = if batch > 0 {
-            Some(PartialShardWriter::create(dir, shard)?)
-        } else {
-            None
+    /// Opens `shard`'s checkpoint for appending: a new file, or — when a
+    /// previous invocation left one whose first `prefix` bytes are
+    /// checksum-valid — that file, cut back to the prefix.
+    fn open(
+        &mut self,
+        dir: &Path,
+        shard: u64,
+        batch: u64,
+        prefix: Option<u64>,
+    ) -> Result<(), String> {
+        self.writer = match (batch, prefix) {
+            (0, _) => None,
+            (_, Some(valid_bytes)) => Some(PartialShardWriter::reopen(
+                &dir.join(partial_file_name(shard)),
+                valid_bytes,
+            )?),
+            (_, None) => Some(PartialShardWriter::create(dir, shard)?),
         };
         Ok(())
     }
@@ -483,11 +504,12 @@ impl Checkpointer {
         }
     }
 
-    /// Drops the writer and removes the checkpoint file — the shard has
-    /// been promoted, so the partial is now redundant.
+    /// Drops the writer and removes the checkpoint file, if any — the
+    /// shard's promoted file is durable, so the partial is redundant.
     fn retire(&mut self, dir: &Path, shard: u64) -> Result<(), String> {
-        if self.writer.take().is_some() {
-            let path = dir.join(partial_file_name(shard));
+        self.writer = None;
+        let path = dir.join(partial_file_name(shard));
+        if path.is_file() {
             std::fs::remove_file(&path)
                 .map_err(|e| format!("cannot remove `{}`: {e}", path.display()))?;
         }
@@ -534,17 +556,28 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         let hi = (lo + shard_size).min(total);
 
         // The shard's job state, structure-of-arrays style: parallel
-        // columns indexed by slot, never a Vec of whole-job rows.
-        let mut specs = Vec::with_capacity(usize::try_from(hi - lo).unwrap_or(0));
-        let mut digests = Vec::with_capacity(specs.capacity());
+        // columns indexed by slot, never a Vec of whole-job rows. Each
+        // spec is serialized once, for its digest; the record's hex
+        // digest is rendered once and its job ID derives from the same
+        // digest.
+        let capacity = usize::try_from(hi - lo).unwrap_or(0);
+        let mut specs = Vec::with_capacity(capacity);
+        let mut digests = Vec::with_capacity(capacity);
+        let mut hexes = Vec::with_capacity(capacity);
         for index in lo..hi {
             let job = spec
                 .job_at(index)
                 .ok_or_else(|| format!("index {index} out of range (decoder bug)"))?;
-            digests.push(spec_digest(&job));
+            let digest = spec_digest(&job);
+            digests.push(digest);
+            hexes.push(digest_hex(digest));
             specs.push(job);
         }
         peak_resident_jobs = peak_resident_jobs.max(specs.len() as u64);
+        let id_at = |slot: usize| {
+            let index = usize::try_from(lo + slot as u64).unwrap_or(usize::MAX);
+            specs[slot].id_from_digest(index, digests[slot])
+        };
 
         // Digest-keyed reuse: first from a promoted shard of a previous
         // run, then from a crash-interrupted run's partial checkpoint
@@ -552,37 +585,54 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         // Attempt counts replay with the outcome, so a resumed run folds
         // the same retry statistics as the run that computed them.
         let mut outcomes: Vec<Option<(JobOutcome, u32)>> = vec![None; specs.len()];
-        let replay =
-            |record: GridJobRecord, outcomes: &mut Vec<Option<(JobOutcome, u32)>>| -> bool {
-                let Some(slot) = record.index.checked_sub(lo) else {
-                    return false;
-                };
-                let Ok(slot) = usize::try_from(slot) else {
-                    return false;
-                };
-                if slot < outcomes.len()
-                    && outcomes[slot].is_none()
-                    && record.digest == digest_hex(digests[slot])
-                {
-                    outcomes[slot] = Some((record.outcome, record.attempts));
-                    return true;
-                }
-                false
+        let replay = |record: GridJobRecord,
+                      outcomes: &mut Vec<Option<(JobOutcome, u32)>>|
+         -> bool {
+            let Some(slot) = record.index.checked_sub(lo) else {
+                return false;
             };
+            let Ok(slot) = usize::try_from(slot) else {
+                return false;
+            };
+            if slot < outcomes.len() && outcomes[slot].is_none() && record.digest == hexes[slot] {
+                outcomes[slot] = Some((record.outcome, record.attempts));
+                return true;
+            }
+            false
+        };
+        let mut checkpoint_prefix = None;
         if config.resume {
             let shard_path = dir.join(shard_file_name(shard));
             if shard_path.is_file() {
-                for record in read_shard(&shard_path)? {
+                let records = read_shard(&shard_path)?;
+                let intact = records.len() == specs.len()
+                    && records.iter().enumerate().all(|(slot, record)| {
+                        record.index == lo + slot as u64
+                            && record.digest == hexes[slot]
+                            && record.id == id_at(slot)
+                    });
+                if intact {
+                    // Line for line what this run would write: keep the
+                    // file as it is, drop any checkpoint a kill right
+                    // after its promotion left behind, and fold it.
+                    cache_hits += records.len() as u64;
+                    checkpointer.retire(&dir, shard)?;
+                    rollup.fold_shard(shard, &records);
+                    continue;
+                }
+                for record in records {
                     replay(record, &mut outcomes);
                 }
             }
             let partial_path = dir.join(partial_file_name(shard));
             if partial_path.is_file() {
-                for record in read_partial(&partial_path)?.records {
+                let partial = read_partial(&partial_path)?;
+                for record in partial.records {
                     if replay(record, &mut outcomes) {
                         recovered_jobs += 1;
                     }
                 }
+                checkpoint_prefix = Some(partial.valid_bytes);
             }
         }
 
@@ -592,30 +642,22 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         cache_hits += (specs.len() - misses.len()) as u64;
         recomputed += misses.len() as u64;
 
-        let record_at = |slot: usize, outcome: JobOutcome, attempts: u32| {
-            let index = lo + slot as u64;
-            GridJobRecord {
-                index,
-                id: specs[slot].id(usize::try_from(index).unwrap_or(usize::MAX)),
-                digest: digest_hex(digests[slot]),
-                outcome,
-                attempts,
-            }
+        let record_at = |slot: usize, outcome: JobOutcome, attempts: u32| GridJobRecord {
+            index: lo + slot as u64,
+            id: id_at(slot),
+            digest: hexes[slot].clone(),
+            outcome,
+            attempts,
         };
 
-        // Open the shard's checkpoint and persist the replayed records
-        // first, so a crash during the fresh work below never loses
-        // what was already known.
-        checkpointer.open(&dir, shard, config.checkpoint_batch)?;
-        let replayed: Vec<GridJobRecord> = (0..specs.len())
-            .filter_map(|slot| {
-                outcomes[slot]
-                    .as_ref()
-                    .map(|(outcome, attempts)| record_at(slot, outcome.clone(), *attempts))
-            })
-            .collect();
-        checkpointer.append(shard, &replayed)?;
-        drop(replayed);
+        // Checkpoint only what is new. Replayed records are durable
+        // already: in the promoted shard, which stays until its atomic
+        // replacement below, or in the checkpoint's valid prefix, which
+        // is reopened (torn tail cut) rather than rewritten. A shard
+        // with no misses opens no checkpoint at all.
+        if !misses.is_empty() {
+            checkpointer.open(&dir, shard, config.checkpoint_batch, checkpoint_prefix)?;
+        }
 
         // Execute the misses one fsync'd batch at a time on the
         // work-stealing pool, under the retry policy. Jobs see their
@@ -661,9 +703,9 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         // its checkpoint, fold it, drop it.
         let mut records = Vec::with_capacity(specs.len());
         for (slot, outcome) in outcomes.into_iter().enumerate() {
-            let index = lo + slot as u64;
-            let (outcome, attempts) =
-                outcome.ok_or_else(|| format!("job {index} produced no outcome (pool bug)"))?;
+            let (outcome, attempts) = outcome.ok_or_else(|| {
+                format!("job {} produced no outcome (pool bug)", lo + slot as u64)
+            })?;
             records.push(record_at(slot, outcome, attempts));
         }
         checkpointer.before_promote(shard);
@@ -866,6 +908,143 @@ mod tests {
         assert!((again.cache_hit_pct() - 100.0).abs() < f64::EPSILON);
         let resumed = std::fs::read(again.dir.join("aggregate.json")).expect("reads");
         assert_eq!(bytes, resumed, "aggregate.json is byte-identical");
+        wipe(&cfg);
+    }
+
+    /// (inode, bytes) of every promoted shard under `dir`, in shard
+    /// order: a rewrite through tmp+rename always changes the inode.
+    #[cfg(unix)]
+    fn shard_identity(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+        use std::os::unix::fs::MetadataExt as _;
+        crate::manifest::shard_files(dir)
+            .expect("lists shards")
+            .iter()
+            .map(|path| {
+                let ino = std::fs::metadata(path).expect("stats").ino();
+                (ino, std::fs::read(path).expect("reads"))
+            })
+            .collect()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn untouched_resume_keeps_intact_shards_and_opens_no_checkpoint() {
+        let spec = tiny_spec();
+        let cfg = config("intact", 3, false);
+        wipe(&cfg);
+        let first = run(&spec, &cfg).expect("runs");
+        let aggregate = std::fs::read(first.dir.join("aggregate.json")).expect("reads");
+        let shards = shard_identity(&first.dir);
+        assert_eq!(shards.len(), 3);
+
+        // A directory where each checkpoint would go: opening any
+        // checkpoint fails the run, so success proves none was opened.
+        for shard in 0..3 {
+            std::fs::create_dir(first.dir.join(partial_file_name(shard))).expect("traps");
+        }
+        let resume = GridConfig {
+            resume: true,
+            ..cfg.clone()
+        };
+        let again = run(&spec, &resume).expect("resumes without a checkpoint");
+        assert_eq!(again.recomputed, 0);
+        assert_eq!(again.cache_hits, 8);
+        assert_eq!(
+            shard_identity(&again.dir),
+            shards,
+            "every shard keeps its inode and bytes"
+        );
+        let after = std::fs::read(again.dir.join("aggregate.json")).expect("reads");
+        assert_eq!(aggregate, after, "aggregate.json is byte-identical");
+
+        // A kill between promotion and retirement leaves a redundant
+        // checkpoint beside an intact shard: resume removes it and still
+        // keeps the shard.
+        for shard in 0..3 {
+            std::fs::remove_dir(again.dir.join(partial_file_name(shard))).expect("untraps");
+        }
+        let records = read_shard(&again.dir.join(shard_file_name(1))).expect("reads");
+        crate::manifest::PartialShardWriter::create(&again.dir, 1)
+            .expect("creates")
+            .append(&records)
+            .expect("appends");
+        let third = run(&spec, &resume).expect("resumes");
+        assert_eq!((third.recomputed, third.recovered_jobs), (0, 0));
+        assert!(!third.dir.join(partial_file_name(1)).exists());
+        assert_eq!(shard_identity(&third.dir), shards);
+        wipe(&cfg);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn shard_size_change_or_policy_edit_rewrites_the_shard() {
+        let spec = tiny_spec();
+        let cfg = config("rewrite", 4, false);
+        wipe(&cfg);
+        let first = run(&spec, &cfg).expect("runs");
+        let aggregate = std::fs::read(first.dir.join("aggregate.json")).expect("reads");
+        let shards = shard_identity(&first.dir);
+        assert_eq!(shards.len(), 2);
+
+        // Shard 0 held 4 jobs; at shard size 8 it must hold all 8.
+        let wide = run(
+            &spec,
+            &GridConfig {
+                shard_size: 8,
+                resume: true,
+                ..cfg.clone()
+            },
+        )
+        .expect("resumes wider");
+        assert_eq!(wide.cache_hits, 4, "shard 0's records replay");
+        let rewritten = shard_identity(&wide.dir);
+        assert_eq!(rewritten.len(), 1);
+        assert_ne!(rewritten[0].0, shards[0].0, "shard 0 was rewritten");
+        assert_eq!(
+            read_shard(&wide.dir.join(shard_file_name(0)))
+                .expect("reads")
+                .len(),
+            8
+        );
+
+        // Back at shard size 4 the shards are rebuilt byte for byte.
+        run(
+            &spec,
+            &GridConfig {
+                resume: true,
+                ..cfg.clone()
+            },
+        )
+        .expect("resumes");
+        let rebuilt = shard_identity(&first.dir);
+        assert_eq!(
+            rebuilt.iter().map(|(_, bytes)| bytes).collect::<Vec<_>>(),
+            shards.iter().map(|(_, bytes)| bytes).collect::<Vec<_>>(),
+            "the same records, byte for byte"
+        );
+        assert_eq!(
+            std::fs::read(first.dir.join("aggregate.json")).expect("reads"),
+            aggregate
+        );
+
+        // An edited policy axis changes digests in both shards.
+        let mut edited = spec.clone();
+        edited.policies[1] = PolicySpec::Asap;
+        let resumed = run(
+            &edited,
+            &GridConfig {
+                resume: true,
+                run_id: Some(first.run_id.clone()),
+                ..cfg.clone()
+            },
+        )
+        .expect("resumes edited");
+        assert_eq!(resumed.recomputed, 4);
+        let edited_shards = shard_identity(&resumed.dir);
+        for (new, old) in edited_shards.iter().zip(&rebuilt) {
+            assert_ne!(new.0, old.0, "every shard was rewritten");
+            assert_ne!(new.1, old.1);
+        }
         wipe(&cfg);
     }
 

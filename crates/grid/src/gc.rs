@@ -17,7 +17,9 @@
 use std::path::{Path, PathBuf};
 
 use crate::gen::GridSpec;
-use crate::manifest::{partial_files, read_partial, read_shard, shard_file_name, shard_files};
+use crate::manifest::{
+    partial_files, read_partial, read_shard, shard_file_name, shard_files, PartialShardWriter,
+};
 
 /// What [`gc`] decided about one artifact (or directory).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,14 +271,8 @@ fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), St
                 bytes: partial.torn_bytes,
             });
             if !dry_run {
-                let file = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| format!("cannot open `{}`: {e}", path.display()))?;
-                file.set_len(partial.valid_bytes)
-                    .map_err(|e| format!("cannot truncate `{}`: {e}", path.display()))?;
-                file.sync_data()
-                    .map_err(|e| format!("cannot sync `{}`: {e}", path.display()))?;
+                // The same cut a resume makes before appending.
+                PartialShardWriter::reopen(&path, partial.valid_bytes)?;
             }
         }
     }

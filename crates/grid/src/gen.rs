@@ -388,12 +388,12 @@ impl Iterator for GridIter<'_> {
     }
 }
 
-/// FNV-1a digest of one job's canonical JSON — the incremental-run cache
-/// key. Any spec change (policy, seed, fault schedule, capacity, …)
-/// changes the digest; scheduling never does.
+/// The incremental-run cache key of one job: [`JobSpec::digest`], the
+/// FNV-1a digest of its canonical JSON. The low 32 bits of the same
+/// value end every job ID, so the engine serializes each spec once.
 #[must_use]
 pub fn spec_digest(job: &JobSpec) -> u64 {
-    fnv1a(serde_json::to_string(job).unwrap_or_default().as_bytes())
+    job.digest()
 }
 
 #[cfg(test)]

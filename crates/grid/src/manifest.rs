@@ -16,9 +16,12 @@
 //! `<16-hex FNV-1a of the JSON>\t<JSON>\n`, written in fsync'd batches
 //! by [`PartialShardWriter`]. A `kill -9` mid-shard can therefore tear
 //! at most the last batch's tail; [`read_partial`] recovers the maximal
-//! checksum-valid prefix and resume replays it as cache hits. When the
-//! shard completes it is promoted to the plain `shard-NNNNN.jsonl` form
-//! via the usual atomic tmp+rename and the partial file is removed.
+//! checksum-valid prefix and resume replays it as cache hits, then
+//! [`PartialShardWriter::reopen`]s the file at that prefix and appends
+//! only fresh results after it. When the shard completes it is promoted
+//! to the plain `shard-NNNNN.jsonl` form via the usual atomic
+//! tmp+rename — the tmp file and the run directory fsync'd, so the
+//! promoted shard is durable — and only then is the partial removed.
 //!
 //! [`for_each_record`] is the one reader. It also migrates the legacy
 //! single-file [`RunManifest`](fcdpm_runner::RunManifest) format that
@@ -89,10 +92,12 @@ pub fn partial_file_name(shard: u64) -> String {
 }
 
 /// Writes `contents` to `path` atomically: a sibling `.tmp` file is
-/// written, flushed, and renamed into place, so readers never observe a
-/// half-written artifact. This is the one sanctioned way to produce a
-/// whole-file artifact inside a run directory — the `atomic-artifact`
-/// analyze rule flags raw `fs::write` calls there.
+/// written, fsync'd, and renamed into place, and the directory is
+/// fsync'd after the rename, so readers never observe a half-written
+/// artifact and a completed call survives power loss. This is the one
+/// sanctioned way to produce a whole-file artifact inside a run
+/// directory — the `atomic-artifact` analyze rule flags raw `fs::write`
+/// calls there.
 ///
 /// # Errors
 ///
@@ -101,9 +106,27 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, contents).map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("cannot move `{}` into place: {e}", path.display()))
+    let mut file =
+        File::create(&tmp).map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
+    file.write_all(contents.as_bytes())
+        .and_then(|()| file.sync_all())
+        .map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
+    drop(file);
+    publish(&tmp, path)
+}
+
+/// Renames the fsync'd `tmp` onto `path`, then fsyncs the containing
+/// directory so the rename itself is durable.
+fn publish(tmp: &Path, path: &Path) -> Result<(), String> {
+    std::fs::rename(tmp, path)
+        .map_err(|e| format!("cannot move `{}` into place: {e}", path.display()))?;
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|handle| handle.sync_all())
+        .map_err(|e| format!("cannot sync `{}`: {e}", dir.display()))
 }
 
 /// Renders one checkpoint line: `<16-hex FNV-1a of the JSON>\t<JSON>\n`.
@@ -142,6 +165,40 @@ impl PartialShardWriter {
         let path = dir.join(partial_file_name(shard));
         let file =
             File::create(&path).map_err(|e| format!("cannot create `{}`: {e}", path.display()))?;
+        Ok(Self { path, file })
+    }
+
+    /// Reopens the existing checkpoint file at `path` for appending
+    /// after its first `valid_bytes` — the [`PartialRead::valid_bytes`]
+    /// of a [`read_partial`] of the same file. Anything past that
+    /// prefix (a torn tail) is cut off and the cut fsync'd before the
+    /// first append; the valid records stay where they are.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for I/O failures, or when the file is shorter
+    /// than `valid_bytes`.
+    pub fn reopen(path: &Path, valid_bytes: u64) -> Result<Self, String> {
+        let path = path.to_path_buf();
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .map_err(|e| format!("cannot open `{}`: {e}", path.display()))?;
+        let len = file
+            .metadata()
+            .map_err(|e| format!("cannot stat `{}`: {e}", path.display()))?
+            .len();
+        if len < valid_bytes {
+            return Err(format!(
+                "`{}` holds {len} bytes, fewer than its {valid_bytes}-byte valid prefix",
+                path.display()
+            ));
+        }
+        if len > valid_bytes {
+            file.set_len(valid_bytes)
+                .and_then(|()| file.sync_data())
+                .map_err(|e| format!("cannot truncate `{}`: {e}", path.display()))?;
+        }
         Ok(Self { path, file })
     }
 
@@ -278,8 +335,9 @@ fn list_matching(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<PathBuf>
     Ok(files)
 }
 
-/// Writes one shard's records as JSON lines (atomically: temp file then
-/// rename, so a crashed run never leaves a half shard behind).
+/// Writes one shard's records as JSON lines (atomically: fsync'd temp
+/// file, rename, fsync'd directory — so a crashed run never leaves a
+/// half shard behind, and a returned shard is durable).
 ///
 /// # Errors
 ///
@@ -296,11 +354,11 @@ pub fn write_shard(dir: &Path, shard: u64, records: &[GridJobRecord]) -> Result<
             .and_then(|()| out.write_all(b"\n"))
             .map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
     }
-    out.flush()
+    out.into_inner()
+        .map_err(|e| e.into_error())
+        .and_then(|file| file.sync_all())
         .map_err(|e| format!("cannot flush `{}`: {e}", tmp.display()))?;
-    drop(out);
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| format!("cannot move shard into place at `{}`: {e}", path.display()))?;
+    publish(&tmp, &path)?;
     Ok(path)
 }
 
@@ -489,6 +547,40 @@ mod tests {
         assert_eq!(back.torn_bytes, 0);
         assert_eq!(back.torn_lines, 0);
         assert!(back.valid_bytes > 0);
+    }
+
+    #[test]
+    fn reopen_cuts_the_torn_tail_and_appends_after_the_valid_prefix() {
+        let dir = temp_dir("reopen");
+        let mut writer = PartialShardWriter::create(&dir, 3).expect("creates");
+        writer.append(&[record(0), record(1)]).expect("appends");
+        writer.append_torn(&record(2)).expect("tears");
+        drop(writer);
+        let path = dir.join(partial_file_name(3));
+        let torn = read_partial(&path).expect("reads");
+        let prefix = std::fs::read(&path).expect("reads")[..torn.valid_bytes as usize].to_vec();
+
+        let mut writer = PartialShardWriter::reopen(&path, torn.valid_bytes).expect("reopens");
+        writer.append(&[record(2)]).expect("appends");
+        drop(writer);
+        let back = read_partial(&path).expect("reads");
+        assert_eq!(back.records, vec![record(0), record(1), record(2)]);
+        assert_eq!(back.torn_bytes, 0, "the torn tail is gone");
+        let bytes = std::fs::read(&path).expect("reads");
+        assert_eq!(
+            &bytes[..prefix.len()],
+            &prefix[..],
+            "the prefix is untouched"
+        );
+
+        // A clean file reopens as is; a prefix past its end is an error.
+        PartialShardWriter::reopen(&path, back.valid_bytes).expect("reopens clean");
+        assert_eq!(std::fs::read(&path).expect("reads"), bytes);
+        assert!(PartialShardWriter::reopen(&path, back.valid_bytes + 1).is_err());
+        assert!(
+            PartialShardWriter::reopen(&dir.join(partial_file_name(4)), 0).is_err(),
+            "no file, no reopen"
+        );
     }
 
     #[test]

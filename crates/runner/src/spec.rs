@@ -113,8 +113,8 @@ pub enum PredictorSpec {
 }
 
 /// Every [`JobSpec`] field folded into the spec digest
-/// (`fcdpm_grid::spec_digest` hashes the serialized spec whole, so the
-/// list is exhaustive and [`JOBSPEC_DIGEST_MASK`] stays empty).
+/// ([`JobSpec::digest`] hashes the serialized spec whole, so the list
+/// is exhaustive and [`JOBSPEC_DIGEST_MASK`] stays empty).
 /// `fcdpm analyze`'s digest-stability pass checks the partition
 /// statically: a new field fails CI until it is listed here — and the
 /// author has decided, reviewably, that re-keying every cache is
@@ -196,16 +196,33 @@ impl JobSpec {
             .unwrap_or(fcdpm_sim::fixture::REFERENCE_CAPACITY_MAMIN)
     }
 
-    /// Deterministic job ID: the job's grid index plus an FNV-1a digest
-    /// of its canonical JSON, so IDs are stable across runs and worker
-    /// counts but change whenever the spec itself changes.
+    /// FNV-1a digest of the spec's canonical JSON — the one hash behind
+    /// both the job ID and the fleet engine's incremental-run cache key
+    /// (`fcdpm_grid::spec_digest`). Any spec change (policy, seed, fault
+    /// schedule, capacity, …) changes it; scheduling never does.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        fnv1a(serde_json::to_string(self).unwrap_or_default().as_bytes())
+    }
+
+    /// Deterministic job ID: the job's grid index plus the low 32 bits
+    /// of its [`digest`](Self::digest), so IDs are stable across runs
+    /// and worker counts but change whenever the spec itself changes.
     #[must_use]
     pub fn id(&self, index: usize) -> String {
-        let canonical = serde_json::to_string(self).unwrap_or_default();
+        self.id_from_digest(index, self.digest())
+    }
+
+    /// [`id`](Self::id) for a caller that already holds this spec's
+    /// [`digest`](Self::digest), sparing a second serialization.
+    /// `digest` must be `self.digest()`; any other value yields an ID
+    /// no other run would write.
+    #[must_use]
+    pub fn id_from_digest(&self, index: usize, digest: u64) -> String {
         format!(
             "job-{index:04}-{}-{:08x}",
             self.policy.label(),
-            fnv1a(canonical.as_bytes()) as u32
+            digest as u32
         )
     }
 }
@@ -371,6 +388,18 @@ mod tests {
         assert_ne!(a.id(0), b.id(0));
         assert_ne!(a.id(0), a.id(1));
         assert!(a.id(3).starts_with("job-0003-conv-"));
+    }
+
+    #[test]
+    fn id_and_digest_share_one_serialization() {
+        let spec = JobSpec::new(PolicySpec::FcDpm, WorkloadSpec::Experiment2(9));
+        let canonical = serde_json::to_string(&spec).expect("serializes");
+        assert_eq!(spec.digest(), fnv1a(canonical.as_bytes()));
+        assert_eq!(spec.id(12), spec.id_from_digest(12, spec.digest()));
+        assert_eq!(
+            spec.id(12),
+            format!("job-0012-fcdpm-{:08x}", fnv1a(canonical.as_bytes()) as u32)
+        );
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! each [`CrashPoint`] in a child process, then assert that `resume`
 //! replays the surviving checkpoints as cache hits, recomputes only the
 //! lost jobs, and reproduces the uninterrupted run's `aggregate.json`
-//! byte for byte. A proptest rides along: truncating a partial
-//! checkpoint at *any* byte offset always recovers the maximal
-//! checksum-valid prefix.
+//! byte for byte. The same holds when the *resume* is killed too — at
+//! each point again, including mid-write on a checkpoint it reopened —
+//! and a further resume repairs both crashes. A proptest rides along:
+//! truncating a partial checkpoint at *any* byte offset always recovers
+//! the maximal checksum-valid prefix.
 //!
 //! The child is this same test binary re-invoked on the `#[ignore]`d
 //! `crash_child` entry with the crash point in the environment — the
@@ -23,6 +25,7 @@ use proptest::prelude::*;
 
 const CRASH_POINT_VAR: &str = "FCDPM_CRASH_POINT";
 const CRASH_OUT_VAR: &str = "FCDPM_CRASH_OUT";
+const CRASH_RESUME_VAR: &str = "FCDPM_CRASH_RESUME";
 
 /// 8 jobs over 3 shards (shard size 3, ragged tail) — every crash point
 /// below lands inside real work.
@@ -64,9 +67,9 @@ fn parse_point(text: &str) -> fcdpm_grid::CrashPoint {
 }
 
 /// The child entry: re-invoked by the driver tests with the crash point
-/// in the environment. Runs the grid and dies at the injected point; if
-/// the environment is absent (a plain `--include-ignored` sweep) it
-/// does nothing.
+/// in the environment. Runs (or, with the resume variable set, resumes)
+/// the grid and dies at the injected point; if the environment is
+/// absent (a plain `--include-ignored` sweep) it does nothing.
 #[test]
 #[ignore = "child entry for the crash-injection driver"]
 fn crash_child() {
@@ -76,6 +79,7 @@ fn crash_child() {
     let out = std::env::var(CRASH_OUT_VAR).expect("crash out dir");
     let config = GridConfig {
         crash_point: Some(parse_point(&point)),
+        resume: std::env::var_os(CRASH_RESUME_VAR).is_some(),
         ..crash_config(Path::new(&out))
     };
     // The abort happens inside; reaching the end means the injection
@@ -85,14 +89,28 @@ fn crash_child() {
 
 /// Re-invokes this test binary on [`crash_child`] with `point` injected.
 fn spawn_crash_child(point: &str, out: &Path) -> std::process::ExitStatus {
-    Command::new(std::env::current_exe().expect("test binary path"))
+    crash_child_command(point, out)
+        .status()
+        .expect("spawn crash child")
+}
+
+/// [`spawn_crash_child`], but the child resumes the run in `out`.
+fn spawn_crashing_resume(point: &str, out: &Path) -> std::process::ExitStatus {
+    crash_child_command(point, out)
+        .env(CRASH_RESUME_VAR, "1")
+        .status()
+        .expect("spawn crash child")
+}
+
+fn crash_child_command(point: &str, out: &Path) -> Command {
+    let mut command = Command::new(std::env::current_exe().expect("test binary path"));
+    command
         .args(["crash_child", "--exact", "--ignored"])
         .env(CRASH_POINT_VAR, point)
         .env(CRASH_OUT_VAR, out)
         .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("spawn crash child")
+        .stderr(std::process::Stdio::null());
+    command
 }
 
 /// Counts (final-shard records, checkpointed records, torn lines) left
@@ -121,21 +139,31 @@ fn assert_crash_recovers(tag: &str, point: &str, control_aggregate: &str) {
         !status.success(),
         "{point}: the crash child must die abnormally, got {status:?}"
     );
+    let (finalized, checkpointed, _) = surviving_state(&out.join("crash"));
+    assert!(
+        finalized + checkpointed < crash_spec().total_jobs(),
+        "{point}: the crash must actually lose work"
+    );
+    assert_resume_repairs(&out, point, control_aggregate);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// Asserts that resuming the killed run in `out` replays exactly the
+/// surviving records — checkpoint lines as `recovered_jobs` —
+/// recomputes only the rest, and reproduces `control_aggregate` byte
+/// for byte.
+fn assert_resume_repairs(out: &Path, point: &str, control_aggregate: &str) {
     let run_dir = out.join("crash");
     assert!(
         !run_dir.join("aggregate.json").exists(),
         "{point}: a killed run must not have published an aggregate"
     );
-    let (finalized, checkpointed, torn) = surviving_state(&run_dir);
+    let (finalized, checkpointed, _) = surviving_state(&run_dir);
     let total = crash_spec().total_jobs();
-    assert!(
-        finalized + checkpointed < total,
-        "{point}: the crash must actually lose work"
-    );
 
     let config = GridConfig {
         resume: true,
-        ..crash_config(&out)
+        ..crash_config(out)
     };
     let resumed = run(&crash_spec(), &config).expect("resume succeeds");
     assert_eq!(
@@ -158,7 +186,38 @@ fn assert_crash_recovers(tag: &str, point: &str, control_aggregate: &str) {
         aggregate, control_aggregate,
         "{point}: resumed aggregate must be byte-identical to the uninterrupted run"
     );
-    let _ = (torn, std::fs::remove_dir_all(&out));
+}
+
+/// Kills a run at `first`, kills its resume at `second`, and asserts a
+/// further resume still repairs everything.
+fn assert_killed_resume_recovers(first: &str, second: &str, control_aggregate: &str) {
+    let out = fresh_dir(&format!("resume-{first}-{second}").replace(':', "-"));
+    let status = spawn_crash_child(first, &out);
+    assert!(
+        !status.success(),
+        "{first}: the run must die, got {status:?}"
+    );
+    let before = surviving_state(&out.join("crash"));
+    let status = spawn_crashing_resume(second, &out);
+    assert!(
+        !status.success(),
+        "{first} then {second}: the resume must die, got {status:?}"
+    );
+    let after = surviving_state(&out.join("crash"));
+    assert!(
+        after.0 + after.1 >= before.0 + before.1,
+        "{first} then {second}: a killed resume must not lose what the run saved"
+    );
+    if second.starts_with("mid-write") {
+        assert_eq!(after.2, 1, "{first} then {second}: one torn record");
+    } else {
+        assert!(
+            after.0 + after.1 > before.0 + before.1,
+            "{first} then {second}: the resume's fresh work must be durable"
+        );
+    }
+    assert_resume_repairs(&out, &format!("{first} then {second}"), control_aggregate);
+    let _ = std::fs::remove_dir_all(&out);
 }
 
 #[test]
@@ -177,6 +236,36 @@ fn resume_after_kill_at_every_crash_point_is_byte_identical() {
     // Kill mid-write inside shard 2: a torn half-record on disk.
     assert_crash_recovers("mid-write", "mid-write:2", &control_aggregate);
 
+    let _ = std::fs::remove_dir_all(&control_out);
+}
+
+#[test]
+fn resume_killed_at_every_crash_point_still_recovers_byte_identically() {
+    let control_out = fresh_dir("resume-control");
+    let control = run(&crash_spec(), &crash_config(&control_out)).expect("control run");
+    let control_aggregate = std::fs::read_to_string(control.dir.join("aggregate.json"))
+        .expect("control aggregate exists");
+
+    // Each first kill (as in the test above) followed by a kill of the
+    // resume at each point. `after-job` counts the resume's own fresh
+    // jobs; every second point lands inside work the resume has left.
+    for (first, second) in [
+        // Shard 0 holds a 2-line checkpoint the resume reopens.
+        ("after-job:2", "after-job:2"),
+        ("after-job:2", "before-promote:0"),
+        ("after-job:2", "mid-write:0"),
+        // Shard 0 promoted, shard 1 fully checkpointed: the resume
+        // keeps shard 0, promotes 1 without a checkpoint, dies in 2.
+        ("before-promote:1", "after-job:1"),
+        ("before-promote:1", "before-promote:2"),
+        ("before-promote:1", "mid-write:2"),
+        // Shard 2 holds only a torn line: reopened at an empty prefix.
+        ("mid-write:2", "after-job:1"),
+        ("mid-write:2", "before-promote:2"),
+        ("mid-write:2", "mid-write:2"),
+    ] {
+        assert_killed_resume_recovers(first, second, &control_aggregate);
+    }
     let _ = std::fs::remove_dir_all(&control_out);
 }
 

@@ -6,9 +6,13 @@
 //! expansion `expand_eager` describe the *same* job sequence. These
 //! tests generate small random grids over every axis combination and
 //! require count, ordering, specs and deterministic job ids to agree
-//! bit for bit.
+//! bit for bit. A third pins the single digest: the engine derives each
+//! record's job ID from the spec digest it already holds, and both must
+//! stay the FNV-1a hash of the spec's canonical JSON that every record
+//! on disk was keyed with.
 
 use fcdpm_grid::{FaultPreset, GridSpec, SeedAxis, SeedRange, WorkloadKind};
+use fcdpm_runner::spec::fnv1a;
 use fcdpm_runner::PolicySpec;
 use proptest::prelude::*;
 
@@ -114,6 +118,38 @@ proptest! {
             prop_assert_eq!(
                 fcdpm_grid::spec_digest(&lazy_job),
                 fcdpm_grid::spec_digest(&eager[i])
+            );
+        }
+    }
+
+    #[test]
+    fn digest_derived_ids_are_job_ids(
+        seed_start in 0u64..1_000_000_000,
+        seed_count in 1u64..3,
+        seed_as_list in any::<bool>(),
+        workload_count in 1usize..4,
+        policy_count in 1usize..6,
+        fault_count in 0usize..4,
+        capacity_count in 0usize..3,
+        resilient_mode in 0usize..3,
+    ) {
+        let spec = build_spec(
+            seed_start, seed_count, seed_as_list,
+            workload_count, policy_count, fault_count,
+            capacity_count, resilient_mode,
+        );
+        for (index, job) in spec.iter() {
+            let i = usize::try_from(index).expect("small grid");
+            let canonical = serde_json::to_string(&job).expect("serializes");
+            let digest = fcdpm_grid::spec_digest(&job);
+            prop_assert_eq!(digest, job.digest());
+            prop_assert_eq!(digest, fnv1a(canonical.as_bytes()));
+            // What the engine writes as the record's ID.
+            let engine_id = job.id_from_digest(i, digest);
+            prop_assert_eq!(&engine_id, &job.id(i), "id diverges at index {}", index);
+            prop_assert_eq!(
+                engine_id,
+                format!("job-{i:04}-{}-{:08x}", job.policy.label(), digest as u32)
             );
         }
     }
