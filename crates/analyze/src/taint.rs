@@ -75,8 +75,9 @@ const PATH_SOURCES: [(&str, &str); 3] = [
 
 /// Artifact-sink call needles (substring-matched; all end in `(` so an
 /// occurrence is always a call site).
-const SINKS: [&str; 7] = [
+const SINKS: [&str; 8] = [
     "serde_json::to_string",
+    "serde_json::to_writer(",
     "to_pretty_json(",
     "deterministic_json(",
     "write_shard(",
@@ -387,6 +388,16 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("hash-order iteration"));
         assert!(findings[0].message.contains("fnv1a"));
+    }
+
+    #[test]
+    fn tainted_value_streamed_into_a_digest_sink_is_flagged() {
+        let src = "fn digest(&self) -> u64 {\n    let stamp = Instant::now();\n    let mut hash = Fnv1a::default();\n    let _ = serde_json::to_writer(&mut hash, &stamp);\n    hash.finish()\n}\n";
+        let findings = run_on(src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 4);
+        assert!(findings[0].message.contains("serde_json::to_writer"));
+        assert!(findings[0].message.contains("wall-clock time"));
     }
 
     #[test]

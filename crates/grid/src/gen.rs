@@ -15,7 +15,7 @@
 //! so tests can pin the lazy decoder against it bit-for-bit.
 
 use fcdpm_faults::FaultSchedule;
-use fcdpm_runner::spec::fnv1a;
+use fcdpm_runner::spec::Fnv1a;
 use fcdpm_runner::{sweep, JobSpec, PolicySpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -249,15 +249,18 @@ impl GridSpec {
     /// FNV-1a digest of the spec's canonical JSON — the run identity
     /// behind the default run ID. The informational `name` is masked
     /// out, so renaming a campaign keeps its run directory and cache.
+    /// The JSON is hashed as it is written, with no `String` in between.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut canonical = self.clone();
         canonical.name = None;
-        fnv1a(
-            serde_json::to_string(&canonical)
-                .unwrap_or_default()
-                .as_bytes(),
-        )
+        let mut hash = Fnv1a::default();
+        match serde_json::to_writer(&mut hash, &canonical) {
+            Ok(()) => hash.finish(),
+            // Only a non-finite capacity fails; such a spec hashes as the
+            // empty text, as it always has.
+            Err(_) => Fnv1a::default().finish(),
+        }
     }
 
     /// Decodes global job `index` into its spec (mixed-radix decode over

@@ -14,7 +14,9 @@
 //! While a shard is in flight, completed records stream into an
 //! append-only `shard-NNNNN.partial.jsonl` checkpoint: each line is
 //! `<16-hex FNV-1a of the JSON>\t<JSON>\n`, written in fsync'd batches
-//! by [`PartialShardWriter`]. A `kill -9` mid-shard can therefore tear
+//! by [`PartialShardWriter`]. Each record is serialized once, straight
+//! into the batch buffer, and the checksum is taken over that span in
+//! place. A `kill -9` mid-shard can therefore tear
 //! at most the last batch's tail; [`read_partial`] recovers the maximal
 //! checksum-valid prefix and resume replays it as cache hits, then
 //! [`PartialShardWriter::reopen`]s the file at that prefix and appends
@@ -29,7 +31,7 @@
 //! same record stream, with digests recomputed from the embedded specs.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 use fcdpm_runner::{JobOutcome, RunManifest};
@@ -58,16 +60,27 @@ pub struct GridJobRecord {
 // (no `attempts` key) still parse: a missing count means the job ran
 // exactly once.
 impl Deserialize for GridJobRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom(format!("expected object, got {}", v.kind())))?;
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        use serde::de::field_or_missing;
+        let (mut index, mut id, mut digest, mut outcome) = (None, None, None, None);
+        let mut attempts: Option<Option<u32>> = None;
+        de.begin_object()?;
+        while let Some(key) = de.next_key()? {
+            match &*key {
+                "index" => de.field(&mut index, "index")?,
+                "id" => de.field(&mut id, "id")?,
+                "digest" => de.field(&mut digest, "digest")?,
+                "outcome" => de.field(&mut outcome, "outcome")?,
+                "attempts" => de.field(&mut attempts, "attempts")?,
+                _ => de.skip_value()?,
+            }
+        }
         Ok(Self {
-            index: serde::field(m, "index")?,
-            id: serde::field(m, "id")?,
-            digest: serde::field(m, "digest")?,
-            outcome: serde::field(m, "outcome")?,
-            attempts: serde::field::<Option<u32>>(m, "attempts")?.unwrap_or(1),
+            index: field_or_missing(index, "index")?,
+            id: field_or_missing(id, "id")?,
+            digest: field_or_missing(digest, "digest")?,
+            outcome: field_or_missing(outcome, "outcome")?,
+            attempts: attempts.flatten().unwrap_or(1),
         })
     }
 }
@@ -129,16 +142,23 @@ fn publish(tmp: &Path, path: &Path) -> Result<(), String> {
         .map_err(|e| format!("cannot sync `{}`: {e}", dir.display()))
 }
 
-/// Renders one checkpoint line: `<16-hex FNV-1a of the JSON>\t<JSON>\n`.
-/// The checksum covers exactly the JSON bytes, so a torn tail (or a bit
-/// flip) fails validation and [`read_partial`] stops there.
-fn checkpoint_line(record: &GridJobRecord) -> Result<String, String> {
-    let json = serde_json::to_string(record)
+/// Appends one checkpoint line to `batch`:
+/// `<16-hex FNV-1a of the JSON>\t<JSON>\n`. The record is serialized
+/// once, straight into the batch behind a placeholder checksum, and the
+/// checksum is then computed over exactly those JSON bytes and written
+/// into place — so a torn tail (or a bit flip) fails validation and
+/// [`read_partial`] stops there.
+fn push_checkpoint_line(batch: &mut Vec<u8>, record: &GridJobRecord) -> Result<(), String> {
+    const SUM: usize = 16;
+    let start = batch.len();
+    batch.extend_from_slice(&[b'0'; SUM]);
+    batch.push(b'\t');
+    serde_json::to_writer(&mut *batch, record)
         .map_err(|e| format!("record {} does not serialize: {e}", record.index))?;
-    Ok(format!(
-        "{}\t{json}\n",
-        digest_hex(fcdpm_runner::spec::fnv1a(json.as_bytes()))
-    ))
+    let sum = digest_hex(fcdpm_runner::spec::fnv1a(&batch[start + SUM + 1..]));
+    batch[start..start + SUM].copy_from_slice(sum.as_bytes());
+    batch.push(b'\n');
+    Ok(())
 }
 
 /// Append-only writer for a shard's in-flight checkpoint file.
@@ -217,12 +237,12 @@ impl PartialShardWriter {
         if records.is_empty() {
             return Ok(());
         }
-        let mut batch = String::new();
+        let mut batch = Vec::new();
         for record in records {
-            batch.push_str(&checkpoint_line(record)?);
+            push_checkpoint_line(&mut batch, record)?;
         }
         self.file
-            .write_all(batch.as_bytes())
+            .write_all(&batch)
             .and_then(|()| self.file.sync_data())
             .map_err(|e| format!("cannot checkpoint `{}`: {e}", self.path.display()))
     }
@@ -236,8 +256,9 @@ impl PartialShardWriter {
     /// Returns a message for I/O or serialization failures.
     #[doc(hidden)]
     pub fn append_torn(&mut self, record: &GridJobRecord) -> Result<(), String> {
-        let line = checkpoint_line(record)?;
-        let torn = &line.as_bytes()[..line.len() / 2];
+        let mut line = Vec::new();
+        push_checkpoint_line(&mut line, record)?;
+        let torn = &line[..line.len() / 2];
         self.file
             .write_all(torn)
             .and_then(|()| self.file.sync_data())
@@ -337,7 +358,8 @@ fn list_matching(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<PathBuf>
 
 /// Writes one shard's records as JSON lines (atomically: fsync'd temp
 /// file, rename, fsync'd directory — so a crashed run never leaves a
-/// half shard behind, and a returned shard is durable).
+/// half shard behind, and a returned shard is durable). Each record is
+/// serialized once, straight into the file's write buffer.
 ///
 /// # Errors
 ///
@@ -348,10 +370,9 @@ pub fn write_shard(dir: &Path, shard: u64, records: &[GridJobRecord]) -> Result<
     let file = File::create(&tmp).map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
     let mut out = BufWriter::new(file);
     for record in records {
-        let line = serde_json::to_string(record)
-            .map_err(|e| format!("record {} does not serialize: {e}", record.index))?;
-        out.write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
+        serde_json::to_writer(&mut out, record)
+            .map_err(|e| format!("record {} to `{}`: {e}", record.index, tmp.display()))?;
+        out.write_all(b"\n")
             .map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
     }
     out.into_inner()
@@ -364,20 +385,30 @@ pub fn write_shard(dir: &Path, shard: u64, records: &[GridJobRecord]) -> Result<
 
 /// Reads one shard file into records (one shard is bounded by the
 /// engine's shard size, so this is the largest unit ever resident).
+/// Lines are read into one reused buffer and parsed in place, with no
+/// value tree and no per-line allocation.
 ///
 /// # Errors
 ///
 /// Returns a message for I/O failures or malformed lines.
 pub fn read_shard(path: &Path) -> Result<Vec<GridJobRecord>, String> {
     let file = File::open(path).map_err(|e| format!("cannot open `{}`: {e}", path.display()))?;
+    let mut reader = BufReader::new(file);
     let mut records = Vec::new();
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+    let mut line = String::new();
+    for lineno in 1.. {
+        line.clear();
+        let read = reader
+            .read_line(&mut line)
+            .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+        if read == 0 {
+            break;
+        }
         if line.trim().is_empty() {
             continue;
         }
         let record: GridJobRecord = serde_json::from_str(&line)
-            .map_err(|e| format!("`{}` line {}: {e}", path.display(), lineno + 1))?;
+            .map_err(|e| format!("`{}` line {lineno}: {e}", path.display()))?;
         records.push(record);
     }
     Ok(records)

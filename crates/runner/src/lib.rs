@@ -97,7 +97,7 @@ pub fn run_specs(specs: &[JobSpec], config: &RunConfig) -> RunManifest {
         config.workers
     };
 
-    let grid_json = serde_json::to_string(&specs.to_vec()).unwrap_or_default();
+    let grid_json = serde_json::to_string(specs).unwrap_or_default();
     let grid_digest = format!("{:016x}", spec::fnv1a(grid_json.as_bytes()));
 
     let jobs: Vec<_> = specs

@@ -6,6 +6,8 @@
 //! in version-controlled JSON files (see `examples/` at the repository
 //! root).
 
+use std::io;
+
 use fcdpm_faults::FaultSchedule;
 use serde::{Deserialize, Serialize};
 
@@ -200,9 +202,16 @@ impl JobSpec {
     /// both the job ID and the fleet engine's incremental-run cache key
     /// (`fcdpm_grid::spec_digest`). Any spec change (policy, seed, fault
     /// schedule, capacity, …) changes it; scheduling never does.
+    /// The JSON is hashed as it is written, with no `String` in between.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a(serde_json::to_string(self).unwrap_or_default().as_bytes())
+        let mut hash = Fnv1a::default();
+        match serde_json::to_writer(&mut hash, self) {
+            Ok(()) => hash.finish(),
+            // Only a non-finite float fails; such a spec hashes as the
+            // empty text, as it always has.
+            Err(_) => Fnv1a::default().finish(),
+        }
     }
 
     /// Deterministic job ID: the job's grid index plus the low 32 bits
@@ -230,12 +239,49 @@ impl JobSpec {
 /// FNV-1a over `bytes` (64-bit).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// A running 64-bit FNV-1a hash, and an [`io::Write`] sink: text
+/// streamed into it (`serde_json::to_writer(&mut hash, value)`) hashes
+/// exactly as [`fnv1a`] of the same bytes would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    /// The hash of no bytes: the FNV-1a offset basis.
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything folded in so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// A cartesian product of per-axis values, expanded to [`JobSpec`]s in a

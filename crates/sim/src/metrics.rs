@@ -6,7 +6,7 @@ use fcdpm_fuelcell::FuelGauge;
 use fcdpm_units::{Amps, Charge, Seconds};
 
 /// Aggregate results of one simulation run.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, Clone, PartialEq, serde::Serialize)]
 pub struct SimMetrics {
     /// Fuel consumption (`∫ I_fc dt`) and elapsed time.
     pub fuel: FuelGauge,
@@ -154,50 +154,50 @@ impl SimMetrics {
     }
 }
 
-// Serde is hand-written (the vendored derive has no attribute support)
-// so manifests predating the fault-injection counters read back with
-// those counters zeroed. Manifests carrying only the retired
-// `deficit_chunks` count are rejected outright: the chunk count scaled
-// with the control step, so no faithful `deficit_time` can be recovered
-// from it, and its two-release migration window has closed.
-impl serde::Serialize for SimMetrics {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("fuel".into(), self.fuel.to_value()),
-            ("load_charge".into(), self.load_charge.to_value()),
-            ("delivered_charge".into(), self.delivered_charge.to_value()),
-            ("bled_charge".into(), self.bled_charge.to_value()),
-            ("deficit_charge".into(), self.deficit_charge.to_value()),
-            ("deficit_time".into(), self.deficit_time.to_value()),
-            ("sleeps".into(), self.sleeps.to_value()),
-            ("slots".into(), self.slots.to_value()),
-            ("task_latency".into(), self.task_latency.to_value()),
-            ("final_soc".into(), self.final_soc.to_value()),
-            ("chunks_stepped".into(), self.chunks_stepped.to_value()),
-            ("chunks_coalesced".into(), self.chunks_coalesced.to_value()),
-            (
-                "policy_consultations".into(),
-                self.policy_consultations.to_value(),
-            ),
-            ("faults_applied".into(), self.faults_applied.to_value()),
-            ("degradations".into(), self.degradations.to_value()),
-            ("time_in_fallback".into(), self.time_in_fallback.to_value()),
-            (
-                "fault_deficit_time".into(),
-                self.fault_deficit_time.to_value(),
-            ),
-        ])
-    }
-}
-
+// Deserialization is hand-written (the vendored derive has no
+// attribute support) so manifests predating the work and fault-injection
+// counters read back with those counters zeroed. Manifests carrying only
+// the retired `deficit_chunks` count are rejected outright: the chunk
+// count scaled with the control step, so no faithful `deficit_time` can
+// be recovered from it, and its two-release migration window has closed.
 impl serde::Deserialize for SimMetrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("SimMetrics: expected a map"))?;
-        let deficit_time = match serde::field::<Option<Seconds>>(map, "deficit_time")? {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        use serde::de::field_or_missing;
+        let (mut fuel, mut load_charge, mut delivered_charge) = (None, None, None);
+        let (mut bled_charge, mut deficit_charge, mut task_latency) = (None, None, None);
+        let (mut sleeps, mut slots, mut final_soc) = (None, None, None);
+        // Optional: absent (or null) in older manifests.
+        let mut deficit_time: Option<Option<Seconds>> = None;
+        let mut deficit_chunks: Option<Option<u64>> = None;
+        let mut counters: [Option<Option<u64>>; 5] = [None; 5];
+        let mut fault_times: [Option<Option<Seconds>>; 2] = [None; 2];
+        de.begin_object()?;
+        while let Some(key) = de.next_key()? {
+            match &*key {
+                "fuel" => de.field(&mut fuel, "fuel")?,
+                "load_charge" => de.field(&mut load_charge, "load_charge")?,
+                "delivered_charge" => de.field(&mut delivered_charge, "delivered_charge")?,
+                "bled_charge" => de.field(&mut bled_charge, "bled_charge")?,
+                "deficit_charge" => de.field(&mut deficit_charge, "deficit_charge")?,
+                "deficit_time" => de.field(&mut deficit_time, "deficit_time")?,
+                "deficit_chunks" => de.field(&mut deficit_chunks, "deficit_chunks")?,
+                "sleeps" => de.field(&mut sleeps, "sleeps")?,
+                "slots" => de.field(&mut slots, "slots")?,
+                "task_latency" => de.field(&mut task_latency, "task_latency")?,
+                "final_soc" => de.field(&mut final_soc, "final_soc")?,
+                "chunks_stepped" => de.field(&mut counters[0], "chunks_stepped")?,
+                "chunks_coalesced" => de.field(&mut counters[1], "chunks_coalesced")?,
+                "policy_consultations" => de.field(&mut counters[2], "policy_consultations")?,
+                "faults_applied" => de.field(&mut counters[3], "faults_applied")?,
+                "degradations" => de.field(&mut counters[4], "degradations")?,
+                "time_in_fallback" => de.field(&mut fault_times[0], "time_in_fallback")?,
+                "fault_deficit_time" => de.field(&mut fault_times[1], "fault_deficit_time")?,
+                _ => de.skip_value()?,
+            }
+        }
+        let deficit_time = match deficit_time.flatten() {
             Some(t) => t,
-            None if serde::field::<Option<u64>>(map, "deficit_chunks")?.is_some() => {
+            None if deficit_chunks.flatten().is_some() => {
                 return Err(serde::Error::custom(
                     "SimMetrics: the `deficit_chunks` schema was retired — the chunk \
                      count scaled with the control step and cannot be converted to \
@@ -206,29 +206,30 @@ impl serde::Deserialize for SimMetrics {
             }
             None => Seconds::ZERO,
         };
+        let [chunks_stepped, chunks_coalesced, policy_consultations, faults_applied, degradations] =
+            counters.map(|c| c.flatten().unwrap_or(0));
+        let [time_in_fallback, fault_deficit_time] =
+            fault_times.map(|t| t.flatten().unwrap_or(Seconds::ZERO));
         Ok(Self {
-            fuel: serde::field(map, "fuel")?,
-            load_charge: serde::field(map, "load_charge")?,
-            delivered_charge: serde::field(map, "delivered_charge")?,
-            bled_charge: serde::field(map, "bled_charge")?,
-            deficit_charge: serde::field(map, "deficit_charge")?,
+            fuel: field_or_missing(fuel, "fuel")?,
+            load_charge: field_or_missing(load_charge, "load_charge")?,
+            delivered_charge: field_or_missing(delivered_charge, "delivered_charge")?,
+            bled_charge: field_or_missing(bled_charge, "bled_charge")?,
+            deficit_charge: field_or_missing(deficit_charge, "deficit_charge")?,
             deficit_time,
-            sleeps: serde::field(map, "sleeps")?,
-            slots: serde::field(map, "slots")?,
-            task_latency: serde::field(map, "task_latency")?,
-            final_soc: serde::field(map, "final_soc")?,
+            sleeps: field_or_missing(sleeps, "sleeps")?,
+            slots: field_or_missing(slots, "slots")?,
+            task_latency: field_or_missing(task_latency, "task_latency")?,
+            final_soc: field_or_missing(final_soc, "final_soc")?,
             // Absent in pre-coalescing manifests: zero work recorded.
-            chunks_stepped: serde::field::<Option<u64>>(map, "chunks_stepped")?.unwrap_or(0),
-            chunks_coalesced: serde::field::<Option<u64>>(map, "chunks_coalesced")?.unwrap_or(0),
-            policy_consultations: serde::field::<Option<u64>>(map, "policy_consultations")?
-                .unwrap_or(0),
+            chunks_stepped,
+            chunks_coalesced,
+            policy_consultations,
             // Absent in pre-fault-injection manifests: nothing injected.
-            faults_applied: serde::field::<Option<u64>>(map, "faults_applied")?.unwrap_or(0),
-            degradations: serde::field::<Option<u64>>(map, "degradations")?.unwrap_or(0),
-            time_in_fallback: serde::field::<Option<Seconds>>(map, "time_in_fallback")?
-                .unwrap_or(Seconds::ZERO),
-            fault_deficit_time: serde::field::<Option<Seconds>>(map, "fault_deficit_time")?
-                .unwrap_or(Seconds::ZERO),
+            faults_applied,
+            degradations,
+            time_in_fallback,
+            fault_deficit_time,
         })
     }
 }
@@ -332,7 +333,6 @@ mod tests {
 
     #[test]
     fn serde_round_trip_preserves_all_fields() {
-        use serde::{Deserialize, Serialize};
         let mut m = metrics_with(0.4, 60.0);
         m.load_charge = Charge::new(20.0);
         m.delivered_charge = Charge::new(24.0);
@@ -350,37 +350,47 @@ mod tests {
         m.degradations = 2;
         m.time_in_fallback = Seconds::new(42.0);
         m.fault_deficit_time = Seconds::new(0.5);
-        let back = SimMetrics::from_value(&m.to_value()).expect("round trip");
+        let json = serde_json::to_string(&m).expect("serializes");
+        let back: SimMetrics = serde_json::from_str(&json).expect("round trip");
         assert_eq!(m, back);
+    }
+
+    /// `m`'s JSON with the top-level keys `drop` removed and the raw
+    /// `key: value` entries of `add` appended.
+    fn edited_json(m: &SimMetrics, drop: &[&str], add: &[&str]) -> String {
+        let json = serde_json::to_string(m).expect("serializes");
+        let doc: serde_json::Value = serde_json::from_str(&json).expect("parses");
+        let serde_json::Value::Map(map) = doc else {
+            panic!("expected an object");
+        };
+        let mut entries: Vec<String> = map
+            .iter()
+            .filter(|(k, _)| !drop.contains(&k.as_str()))
+            .map(|(k, v)| format!("{k:?}:{}", serde_json::to_string(v).expect("serializes")))
+            .collect();
+        entries.extend(add.iter().map(|e| (*e).to_owned()));
+        format!("{{{}}}", entries.join(","))
     }
 
     #[test]
     fn serde_no_longer_emits_deficit_chunks_alias() {
         // The retired field must never reappear on the writer side.
-        use serde::{Serialize, Value};
         let mut m = SimMetrics::new();
         m.deficit_time = Seconds::new(1.25);
-        let Value::Map(map) = m.to_value() else {
-            panic!("expected a map");
-        };
-        assert!(map.iter().all(|(k, _)| k != "deficit_chunks"));
-        assert!(map.iter().any(|(k, _)| k == "deficit_time"));
+        let json = serde_json::to_string(&m).expect("serializes");
+        assert!(!json.contains("deficit_chunks"), "{json}");
+        assert!(json.contains(r#""deficit_time":1.25"#), "{json}");
     }
 
     #[test]
     fn serde_rejects_retired_deficit_chunks_manifests() {
-        use serde::{Deserialize, Serialize, Value};
         // A pre-deficit_time manifest carrying only the retired chunk
         // count: the count scaled with the control step, so rather than
         // guess a conversion the reader refuses with a clear error.
         let mut m = SimMetrics::new();
         m.fuel.consume(Amps::new(1.0), Seconds::new(10.0));
-        let Value::Map(mut map) = m.to_value() else {
-            panic!("expected a map");
-        };
-        map.retain(|(k, _)| k != "deficit_time");
-        map.push(("deficit_chunks".into(), Value::UInt(4)));
-        let err = SimMetrics::from_value(&Value::Map(map)).expect_err("legacy schema");
+        let legacy = edited_json(&m, &["deficit_time"], &[r#""deficit_chunks":4"#]);
+        let err = serde_json::from_str::<SimMetrics>(&legacy).expect_err("legacy schema");
         let msg = err.to_string();
         assert!(msg.contains("deficit_chunks"), "{msg}");
         assert!(msg.contains("regenerate"), "{msg}");
@@ -388,26 +398,26 @@ mod tests {
 
     #[test]
     fn serde_defaults_optional_counters_when_absent() {
-        use serde::{Deserialize, Serialize, Value};
         // Manifests predating the work/fault counters (but written after
         // `deficit_time` replaced the chunk count) still read back, with
         // the missing counters zeroed.
         let mut m = SimMetrics::new();
         m.fuel.consume(Amps::new(1.0), Seconds::new(10.0));
         m.deficit_time = Seconds::new(2.0);
-        let Value::Map(mut map) = m.to_value() else {
-            panic!("expected a map");
-        };
-        map.retain(|(k, _)| {
-            k != "chunks_stepped"
-                && k != "chunks_coalesced"
-                && k != "policy_consultations"
-                && k != "faults_applied"
-                && k != "degradations"
-                && k != "time_in_fallback"
-                && k != "fault_deficit_time"
-        });
-        let back = SimMetrics::from_value(&Value::Map(map)).expect("pre-counter manifest");
+        let old = edited_json(
+            &m,
+            &[
+                "chunks_stepped",
+                "chunks_coalesced",
+                "policy_consultations",
+                "faults_applied",
+                "degradations",
+                "time_in_fallback",
+                "fault_deficit_time",
+            ],
+            &[],
+        );
+        let back: SimMetrics = serde_json::from_str(&old).expect("pre-counter manifest");
         assert_eq!(back.deficit_time, Seconds::new(2.0));
         assert_eq!(back.chunks_stepped, 0);
         assert_eq!(back.chunks_coalesced, 0);
@@ -416,6 +426,20 @@ mod tests {
         assert_eq!(back.degradations, 0);
         assert_eq!(back.time_in_fallback, Seconds::ZERO);
         assert_eq!(back.fault_deficit_time, Seconds::ZERO);
+    }
+
+    #[test]
+    fn serde_still_requires_the_core_fields() {
+        let m = SimMetrics::new();
+        let err = serde_json::from_str::<SimMetrics>(&edited_json(&m, &["slots"], &[]))
+            .expect_err("slots is required");
+        assert_eq!(err.to_string(), "missing field `slots`");
+        // Unknown keys are skipped; a null counter reads as zero.
+        let json = edited_json(&m, &["sleeps"], &[r#""sleeps":5"#, r#""future":[{}]"#]);
+        let json = json.replace(r#""degradations":0"#, r#""degradations":null"#);
+        let back: SimMetrics = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back.sleeps, 5);
+        assert_eq!(back.degradations, 0);
     }
 
     #[test]
