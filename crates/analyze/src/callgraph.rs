@@ -1,6 +1,6 @@
 //! Workspace call graph on the lexical machinery.
 //!
-//! [`function_defs`](crate::callgraph::function_defs) lifts each file's
+//! [`function_defs`] lifts each file's
 //! token stream into [`FnDef`]s — name, signature facts, cleaned body
 //! text and the callee names that appear inside it — and [`CallGraph`]
 //! aggregates them workspace-wide with a conservative name resolver:

@@ -12,7 +12,7 @@
 //!
 //! For every `impl FcOutputPolicy for ..` block the pass classifies the
 //! `segment_current` body (reads of the `soc` parameter, `self`
-//! mutation via [`syntax::self_mutation`], delegation to an inner
+//! mutation via `syntax::self_mutation`, delegation to an inner
 //! policy's `.segment_current(..)`, resolved calls whose
 //! [summary](crate::summaries) mutates state) and cross-checks the
 //! `steady_current` override:

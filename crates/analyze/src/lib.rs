@@ -42,7 +42,7 @@
 //! The fourth layer makes the engine interprocedural and incremental:
 //!
 //! * a workspace [call graph](callgraph) with per-function
-//!   [summaries](summaries) computed to a fixpoint lets the
+//!   [summaries] computed to a fixpoint lets the
 //!   determinism-taint and lock-discipline passes follow flows through
 //!   helper calls across function and file boundaries;
 //! * [`AnalyzeRule::HintSoundness`] / [`AnalyzeRule::HintCoalescing`] —

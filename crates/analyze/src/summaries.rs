@@ -1,6 +1,6 @@
 //! Per-function summaries over the call graph, computed to a fixpoint.
 //!
-//! Each [`FnDef`](crate::callgraph::FnDef) gets a [`FnSummary`] of the
+//! Each [`FnDef`] gets a [`FnSummary`] of the
 //! effects interprocedural passes care about:
 //!
 //! * `returns_taint` — the function's return value carries a

@@ -298,7 +298,7 @@ const ALLOWED_DEPS: [(&str, &[&str]); 18] = [
     ),
 ];
 
-/// Checks every `use fcdpm_*` edge against [`ALLOWED_DEPS`].
+/// Checks every `use fcdpm_*` edge against `ALLOWED_DEPS`.
 #[must_use]
 pub fn check_layering(graph: &SymbolGraph) -> Vec<Finding> {
     let allowed: BTreeMap<&str, &[&str]> = ALLOWED_DEPS.iter().copied().collect();

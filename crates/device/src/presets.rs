@@ -1,6 +1,6 @@
 //! Device presets from the paper's two experiments.
 //!
-//! Each preset's constants live in a [`PresetSpec`] constant whose
+//! Each preset's constants live in a `PresetSpec` constant whose
 //! validity (the same rules [`DeviceSpec`] enforces at build time) is
 //! proven by a `const _: () = assert!(…)` item right next to the
 //! literals, so the constructors below are infallible — no `expect`, no

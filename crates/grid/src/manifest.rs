@@ -26,7 +26,7 @@
 //! promoted shard is durable — and only then is the partial removed.
 //!
 //! [`for_each_record`] is the one reader. It also migrates the legacy
-//! single-file [`RunManifest`](fcdpm_runner::RunManifest) format that
+//! single-file [`RunManifest`] format that
 //! `fcdpm batch` writes: pointing it at a `*.json` manifest yields the
 //! same record stream, with digests recomputed from the embedded specs.
 

@@ -456,6 +456,19 @@ fn execute_multi_device(spec: &JobSpec, seed: u64) -> Result<JobMetrics, String>
             ));
         }
     }
+    // Each device's spec and sleep rule are fixed by the merged profile,
+    // so these fields would be silently ignored.
+    let device_set = !matches!(spec.device, None | Some(DevicePreset::Default));
+    for (field, set) in [
+        ("device", device_set),
+        ("predictor", spec.predictor.is_some()),
+    ] {
+        if set {
+            return Err(format!(
+                "field `{field}` needs slot structure; multi-device runs are profile-driven"
+            ));
+        }
+    }
     let capacity = Charge::from_milliamp_minutes(spec.capacity_mamin_or_default());
     let device = fcdpm_device::presets::dvd_camcorder(); // spec unused on profiles
     let (sim, _optimizer, coefficient) = build_sim(spec, &device)?;
@@ -494,12 +507,6 @@ pub fn execute(spec: &JobSpec) -> Result<JobMetrics, String> {
     validate_policy(spec)?;
     validate_faults(spec)?;
     if let WorkloadSpec::MultiDevice(seed) = spec.workload {
-        if spec.faults.as_ref().is_some_and(|s| !s.is_empty()) {
-            return Err(
-                "fault injection needs slot structure; multi-device runs are profile-driven"
-                    .to_owned(),
-            );
-        }
         return execute_multi_device(spec, seed);
     }
     let scenario = build_scenario(spec)?;
@@ -672,14 +679,76 @@ mod tests {
     }
 
     #[test]
-    fn faults_on_multi_device_are_rejected() {
-        let mut spec = JobSpec::new(PolicySpec::WindowedAverage, WorkloadSpec::MultiDevice(1));
-        spec.faults = Some(crate::sweep::starvation_schedule(SEED));
+    fn faults_apply_on_multi_device() {
+        let mut plain = JobSpec::new(PolicySpec::WindowedAverage, WorkloadSpec::MultiDevice(1));
+        plain.faults = Some(crate::sweep::combined_schedule(SEED));
+        let mut wrapped = plain.clone();
+        wrapped.resilient = Some(true);
+        let plain = execute(&plain).expect("faulted multi-device job runs");
+        let wrapped = execute(&wrapped).expect("resilient multi-device job runs");
+        assert!(plain.faults_applied > 0);
+        assert_eq!(plain.chunks_stepped, 0);
+        assert!(
+            wrapped.deficit_time_s <= plain.deficit_time_s,
+            "wrapped {} s browns out longer than unwrapped {} s",
+            wrapped.deficit_time_s,
+            plain.deficit_time_s
+        );
+    }
+
+    #[test]
+    fn empty_fault_schedule_on_multi_device_is_bit_identical_to_none() {
+        let plain = JobSpec::new(PolicySpec::Asap, WorkloadSpec::MultiDevice(1));
+        let mut empty = plain.clone();
+        empty.faults = Some(fcdpm_faults::FaultSchedule::none(SEED));
+        let a = execute(&plain).unwrap();
+        assert_eq!(a, execute(&empty).unwrap());
+        assert_eq!(a.faults_applied, 0);
+    }
+
+    #[test]
+    fn device_on_multi_device_is_an_error() {
+        let mut spec = JobSpec::new(PolicySpec::Conv, WorkloadSpec::MultiDevice(1));
+        spec.device = Some(DevicePreset::Experiment2);
         let err = execute(&spec).unwrap_err();
-        assert!(err.contains("slot structure"), "{err}");
-        // An empty schedule is no fault injection at all, so it runs.
-        spec.faults = Some(fcdpm_faults::FaultSchedule::none(SEED));
+        assert!(err.contains("`device`"), "{err}");
+        // The workload's own devices are what a multi-device run uses.
+        spec.device = Some(DevicePreset::Default);
         assert!(execute(&spec).is_ok());
+    }
+
+    #[test]
+    fn predictor_on_multi_device_is_an_error() {
+        let mut spec = JobSpec::new(PolicySpec::Conv, WorkloadSpec::MultiDevice(1));
+        spec.predictor = Some(PredictorSpec::Oracle);
+        let err = execute(&spec).unwrap_err();
+        assert!(err.contains("`predictor`"), "{err}");
+        spec.predictor = None;
+        assert!(execute(&spec).is_ok());
+    }
+
+    #[test]
+    fn multi_device_jobs_step_no_chunks() {
+        let policies = [
+            PolicySpec::Conv,
+            PolicySpec::Asap,
+            PolicySpec::WindowedAverage,
+            PolicySpec::Constant(0.6),
+        ];
+        let storages = [
+            StorageSpec::Ideal,
+            StorageSpec::SuperCapacitor,
+            StorageSpec::Kibam,
+        ];
+        for policy in &policies {
+            for storage in &storages {
+                let mut spec = JobSpec::new(policy.clone(), WorkloadSpec::MultiDevice(1));
+                spec.storage = Some(storage.clone());
+                let m = execute(&spec).expect("slot-free policy runs");
+                assert_eq!(m.chunks_stepped, 0, "{} on {storage:?}", policy.label());
+                assert!(m.chunks_coalesced > 0, "{} on {storage:?}", policy.label());
+            }
+        }
     }
 
     #[test]

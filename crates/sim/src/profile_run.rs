@@ -5,21 +5,31 @@
 //! representation multi-device compositions produce. Policies that need
 //! slot boundaries (FC-DPM) are not meaningful here; the load-following
 //! and windowed-averaging policies are.
+//!
+//! A profile plays through the same plan loop as a slot trace: each
+//! merged run of equal-load points is one constant-load stretch, planned
+//! by [`FcOutputPolicy::begin_segment`] and integrated in closed form,
+//! split at SoC crossings and fault boundaries exactly as
+//! [`run`](HybridSimulator::run) splits a merged segment.
 
 use fcdpm_core::policy::{FcOutputPolicy, PolicyPhase};
+use fcdpm_faults::FaultState;
 use fcdpm_storage::ChargeStorage;
 use fcdpm_units::Seconds;
 use fcdpm_workload::LoadProfile;
 
-use crate::{HybridSimulator, ProfileRecorder, SimError, SimMetrics, SimResult};
+use crate::{HybridSimulator, SimError, SimMetrics, SimResult};
 
 impl HybridSimulator<'_> {
     /// Runs `policy` over an unstructured load profile.
     ///
-    /// Every point is integrated in control chunks exactly as in
-    /// [`run`](Self::run); all chunks present as
+    /// Immediately following points with the same load merge into one
+    /// stretch, integrated exactly as a merged slot segment in
+    /// [`run`](Self::run) — closed-form plans, analytic crossing splits,
+    /// and the attached fault schedule. Every stretch presents as
     /// [`PolicyPhase::Active`] since there is no slot structure to
-    /// distinguish phases.
+    /// distinguish phases; predictor faults count as applied but have
+    /// no predictor to act on.
     ///
     /// # Errors
     ///
@@ -30,92 +40,32 @@ impl HybridSimulator<'_> {
         policy: &mut dyn FcOutputPolicy,
         storage: &mut dyn ChargeStorage,
     ) -> Result<SimResult, SimError> {
-        self.run_profile_internal(profile, policy, storage, None)
-    }
-
-    /// [`run_profile`](Self::run_profile) with current-profile recording.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fuel-model errors.
-    pub fn run_profile_recorded(
-        &self,
-        profile: &LoadProfile,
-        policy: &mut dyn FcOutputPolicy,
-        storage: &mut dyn ChargeStorage,
-        recorder: &mut ProfileRecorder,
-    ) -> Result<SimResult, SimError> {
-        self.run_profile_internal(profile, policy, storage, Some(recorder))
-    }
-
-    fn run_profile_internal(
-        &self,
-        profile: &LoadProfile,
-        policy: &mut dyn FcOutputPolicy,
-        storage: &mut dyn ChargeStorage,
-        mut recorder: Option<&mut ProfileRecorder>,
-    ) -> Result<SimResult, SimError> {
         let mut metrics = SimMetrics::new();
         let mut time = Seconds::ZERO;
-        for point in profile.points() {
-            if point.duration <= Seconds::ZERO {
-                continue;
+        let mut faults = self.fault_schedule().map(FaultState::new);
+        let mut points = profile
+            .points()
+            .iter()
+            .filter(|p| p.duration > Seconds::ZERO)
+            .peekable();
+        while let Some(point) = points.next() {
+            let mut duration = point.duration;
+            while let Some(next) = points.next_if(|p| p.current == point.current) {
+                duration += next.duration;
             }
-
-            // Chunk-coalescing fast path, as in `run_internal`: a steady
-            // setpoint integrates the whole point in closed form unless
-            // the recorder still needs per-chunk samples.
-            let record_pending = recorder.as_deref().is_some_and(ProfileRecorder::active);
-            if self.coalescing_enabled() && !record_pending {
-                if let Some(demanded) =
-                    policy.steady_current(PolicyPhase::Active, point.current, storage.soc())
-                {
-                    metrics.policy_consultations += 1;
-                    self.integrate_coalesced(
-                        point.current,
-                        demanded,
-                        point.duration,
-                        storage,
-                        &mut metrics,
-                        None,
-                    )?;
-                    time += point.duration;
-                    continue;
-                }
-                metrics.policy_consultations += 1;
-            }
-
-            let residual_floor = self.control_step() * crate::simulator::RESIDUAL_FLOOR_FRACTION;
-            let mut remaining = point.duration;
-            while remaining > Seconds::ZERO {
-                let mut dt = remaining.min(self.control_step());
-                if remaining - dt <= residual_floor {
-                    // Widen the final chunk to absorb the floating-point
-                    // residual of `remaining -= dt`.
-                    dt = remaining;
-                }
-                let demanded =
-                    policy.segment_current(PolicyPhase::Active, point.current, storage.soc());
-                metrics.policy_consultations += 1;
-                let i_f = self.range().clamp(demanded);
-                let i_fc = self.fuel_model().stack_current(i_f)?;
-                metrics.fuel.consume(i_fc, dt);
-                metrics.delivered_charge += i_f * dt;
-                metrics.load_charge += point.current * dt;
-                let flow = storage.step(self.buffer_net(i_f - point.current), dt);
-                metrics.bled_charge += flow.bled;
-                metrics.deficit_charge += flow.deficit;
-                metrics.deficit_time += crate::simulator::deficit_time_of(&flow, dt);
-                metrics.chunks_stepped += 1;
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_chunk(time, dt, point.current, i_f, i_fc, storage.soc());
-                }
-                time += dt;
-                remaining -= dt;
-            }
+            self.integrate_stretch(
+                PolicyPhase::Active,
+                point.current,
+                duration,
+                &mut time,
+                policy,
+                storage,
+                &mut metrics,
+                &mut faults,
+                &mut None,
+            )?;
         }
-        metrics.final_soc = storage.soc();
-        Ok(SimResult { metrics })
+        Ok(Self::finish(metrics, policy, storage))
     }
 }
 
@@ -206,7 +156,8 @@ mod tests {
     fn residual_float_chunk_is_absorbed() {
         // 0.7 s at a 0.1 s step: `remaining -= dt` leaves a ~2.8e-17 s
         // residual that used to become an eighth ghost chunk. The epsilon
-        // floor folds it into the seventh.
+        // floor folds it into the seventh. Only the per-chunk oracle
+        // steps chunks, so that is where the floor lives.
         use fcdpm_fuelcell::LinearEfficiency;
         use fcdpm_units::CurrentRange;
         let spec = presets::dvd_camcorder();
@@ -216,7 +167,8 @@ mod tests {
             CurrentRange::dac07(),
             Seconds::new(0.1),
         )
-        .unwrap();
+        .unwrap()
+        .without_coalescing();
         let profile = LoadProfile::new(
             "residual",
             vec![LoadPoint {
@@ -226,8 +178,6 @@ mod tests {
         );
         let cap = Charge::new(30.0);
         let mut storage = IdealStorage::new(cap, cap * 0.5);
-        // ASAP-DPM offers no steady hint, so this exercises the per-chunk
-        // loop the floor protects.
         let mut policy = AsapDpm::dac07(cap);
         let m = sim
             .run_profile(&profile, &mut policy, &mut storage)
@@ -255,14 +205,56 @@ mod tests {
     }
 
     #[test]
-    fn recorded_profile_run_samples() {
+    fn equal_load_points_merge_into_one_stretch() {
+        // Three equal-load points (one of them empty) are one stretch: a
+        // single plan consultation, as for a merged slot segment.
         let spec = presets::dvd_camcorder();
         let sim = HybridSimulator::dac07(&spec);
-        let profile = square_wave(2);
+        let point = |s: f64| LoadPoint {
+            duration: Seconds::new(s),
+            current: Amps::new(0.6),
+        };
+        let profile = LoadProfile::new("flat", vec![point(3.0), point(0.0), point(4.5)]);
         let mut storage = IdealStorage::new(Charge::new(30.0), Charge::new(15.0));
-        let mut rec = ProfileRecorder::new(Seconds::new(1.0), Seconds::new(20.0));
-        sim.run_profile_recorded(&profile, &mut ConvDpm::dac07(), &mut storage, &mut rec)
-            .unwrap();
-        assert_eq!(rec.samples().len(), 21);
+        let m = sim
+            .run_profile(&profile, &mut WindowedAverage::dac07(), &mut storage)
+            .unwrap()
+            .metrics;
+        assert_eq!(m.policy_consultations, 1);
+        assert_eq!(m.chunks_stepped, 0);
+        assert_eq!(m.chunks_coalesced, 15);
+    }
+
+    #[test]
+    fn fault_schedule_applies_to_profiles() {
+        use fcdpm_faults::{FaultEvent, FaultKind, FaultSchedule, FuelStarvation};
+        let spec = presets::dvd_camcorder();
+        let schedule = FaultSchedule {
+            seed: 1,
+            events: vec![FaultEvent {
+                at_s: 35.0,
+                kind: FaultKind::FuelStarvation(FuelStarvation {
+                    until_s: 1e9,
+                    max_a: 0.15,
+                }),
+            }],
+        };
+        let profile = square_wave(10);
+        let run = |sim: HybridSimulator<'_>| {
+            let mut storage = IdealStorage::new(Charge::new(30.0), Charge::new(15.0));
+            sim.run_profile(&profile, &mut ConvDpm::dac07(), &mut storage)
+                .unwrap()
+                .metrics
+        };
+        let nominal = run(HybridSimulator::dac07(&spec));
+        let starved = run(HybridSimulator::dac07(&spec).with_faults(schedule));
+        assert_eq!(starved.faults_applied, 1);
+        // The starvation edge at 35 s splits the fourth point's stretch.
+        assert_eq!(
+            starved.policy_consultations,
+            nominal.policy_consultations + 1
+        );
+        assert!(starved.delivered_charge < nominal.delivered_charge);
+        assert!(starved.fault_deficit_time > Seconds::ZERO);
     }
 }

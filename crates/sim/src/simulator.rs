@@ -1,4 +1,13 @@
 //! The hybrid-source co-simulator.
+//!
+//! One integration loop serves both inputs: [`HybridSimulator::run`]
+//! cuts a slot trace into merged constant-load stretches, and
+//! [`HybridSimulator::run_profile`] cuts a load profile into runs of
+//! equal-load points. Each stretch goes through the same stretch
+//! integrator — fault-boundary spans, `begin_segment` plans, analytic
+//! crossing splits, closed-form phases. Control chunks are stepped only
+//! by the [`HybridSimulator::without_coalescing`] oracle and for a
+//! policy that declines to plan ([`SegmentPlan::PerChunk`]).
 
 use fcdpm_core::dpm::SleepPolicy;
 use fcdpm_core::policy::{
@@ -19,7 +28,7 @@ use crate::{FuelFlowModel, ProfileRecorder, SimError, SimMetrics};
 /// can leave a ~1e-16 s ghost chunk that hits the recorder and skews the
 /// work counters. A final chunk is widened to absorb any residual below
 /// this fraction of the step.
-pub(crate) const RESIDUAL_FLOOR_FRACTION: f64 = 1e-9;
+const RESIDUAL_FLOOR_FRACTION: f64 = 1e-9;
 
 /// Wall-clock duration of the brownout inside one integration step.
 ///
@@ -27,7 +36,7 @@ pub(crate) const RESIDUAL_FLOOR_FRACTION: f64 = 1e-9;
 /// browned-out portion is the deficit's share of the total demanded
 /// charge. This makes the sum invariant under the step size and under
 /// chunk coalescing, unlike a chunk count.
-pub(crate) fn deficit_time_of(flow: &StorageFlow, dt: Seconds) -> Seconds {
+fn deficit_time_of(flow: &StorageFlow, dt: Seconds) -> Seconds {
     if flow.deficit.is_zero() {
         return Seconds::ZERO;
     }
@@ -130,12 +139,12 @@ impl<'a> HybridSimulator<'a> {
     }
 
     /// Attaches a fault schedule: the events fire at their scheduled
-    /// simulated times during [`run`](Self::run), reshaping the physics
-    /// mid-run (efficiency fade, fuel starvation, storage fade and
-    /// leakage, predictor dropout/noise). An empty schedule leaves every
-    /// metric bit-identical to running without one. Profile runs
-    /// ([`run_profile`](Self::run_profile)) ignore the schedule — fault
-    /// injection is defined on the slot-structured path only.
+    /// simulated times during [`run`](Self::run) and
+    /// [`run_profile`](Self::run_profile), reshaping the physics mid-run
+    /// (efficiency fade, fuel starvation, storage fade and leakage,
+    /// predictor dropout/noise — the last two act only on a slot trace's
+    /// sleep predictor). An empty schedule leaves every metric
+    /// bit-identical to running without one.
     ///
     /// Validate the schedule first with [`FaultSchedule::validate`];
     /// invalid events are applied as-is.
@@ -223,7 +232,7 @@ impl<'a> HybridSimulator<'a> {
 
     /// Applies the Figure-1 charger/discharger losses to the bus-side
     /// imbalance `i_f − load`, returning the storage-side net current.
-    pub(crate) fn buffer_net(&self, imbalance: fcdpm_units::Amps) -> fcdpm_units::Amps {
+    fn buffer_net(&self, imbalance: Amps) -> Amps {
         if imbalance.is_negative() {
             imbalance / self.discharger_efficiency
         } else {
@@ -265,16 +274,11 @@ impl<'a> HybridSimulator<'a> {
         self.control_step
     }
 
-    /// The fuel-flow model integrating stack current.
-    pub(crate) fn fuel_model(&self) -> &(dyn crate::FuelFlowModel + Send + Sync) {
-        self.fuel_model.as_ref()
-    }
-
     /// Integrates one whole segment in closed form under a steady
     /// setpoint: one fuel-model evaluation for the whole duration and one
     /// [`ChargeStorage::step_coalesced`] call that splits analytically at
     /// the saturation/depletion boundary.
-    pub(crate) fn integrate_coalesced(
+    fn integrate_coalesced(
         &self,
         load: Amps,
         demanded: Amps,
@@ -316,9 +320,11 @@ impl<'a> HybridSimulator<'a> {
     }
 
     /// Integrates one control chunk under an already-decided setpoint,
-    /// applying any active faults (range shrink, stack derate, leak,
-    /// capacity fade). Returns the clamped output and stack currents for
-    /// the recorder.
+    /// applying any active faults (range shrink, stack derate, leak) but
+    /// not a capacity fade: the caller enforces that with
+    /// [`Self::bleed_faded_excess`], at a plan phase's end as the closed
+    /// form does. Returns the clamped output and stack currents for the
+    /// recorder.
     fn integrate_chunk(
         &self,
         load: Amps,
@@ -349,15 +355,26 @@ impl<'a> HybridSimulator<'a> {
                 net -= fs.leak();
             }
         }
-        let mut flow = storage.step(net, dt);
-        if let Some(fs) = faults {
-            Self::apply_capacity_fade(fs, storage, &mut flow);
-        }
+        let flow = storage.step(net, dt);
         metrics.bled_charge += flow.bled;
         metrics.deficit_charge += flow.deficit;
         metrics.deficit_time += deficit_time_of(&flow, dt);
         metrics.chunks_stepped += 1;
         Ok((i_f, i_fc))
+    }
+
+    /// Bleeds any charge above a faded capacity (see
+    /// [`Self::apply_capacity_fade`]) after per-chunk integration.
+    fn bleed_faded_excess(
+        faults: Option<&FaultState>,
+        storage: &mut dyn ChargeStorage,
+        metrics: &mut SimMetrics,
+    ) {
+        if let Some(fs) = faults {
+            let mut flow = StorageFlow::NONE;
+            Self::apply_capacity_fade(fs, storage, &mut flow);
+            metrics.bled_charge += flow.bled;
+        }
     }
 
     /// The storage-side net current a plan setpoint produces under the
@@ -376,6 +393,93 @@ impl<'a> HybridSimulator<'a> {
             }
         }
         net
+    }
+
+    /// Integrates one constant-load stretch — a merged run of slot
+    /// segments or of profile points — span by span: a span ends at the
+    /// stretch end or at the next fault boundary, whichever comes first,
+    /// so no fault edge falls inside a closed-form integration (and the
+    /// per-chunk path sees the same span edges as the fast path). Due
+    /// fault events are applied, and the policy told, before each span.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn integrate_stretch(
+        &self,
+        phase: PolicyPhase,
+        load: Amps,
+        duration: Seconds,
+        time: &mut Seconds,
+        policy: &mut dyn FcOutputPolicy,
+        storage: &mut dyn ChargeStorage,
+        metrics: &mut SimMetrics,
+        faults: &mut Option<FaultState>,
+        recorder: &mut Option<&mut ProfileRecorder>,
+    ) -> Result<(), SimError> {
+        let residual_floor = self.control_step * RESIDUAL_FLOOR_FRACTION;
+        let mut remaining = duration;
+        while remaining > Seconds::ZERO {
+            if let Some(fs) = faults.as_mut() {
+                metrics.faults_applied += fs.advance_to(*time);
+                policy.observe_conditions(&self.conditions(fs, storage));
+                // The two integration modes accumulate `time` through
+                // different float additions, so a fault boundary can
+                // land a few ulps after one mode's clock and dead-on the
+                // other's. A boundary within the residual floor is
+                // "now": apply it before planning the span instead of
+                // integrating a degenerate sliver in one mode only.
+                while let Some(b) = fs.next_boundary(*time) {
+                    if b - *time > residual_floor {
+                        break;
+                    }
+                    metrics.faults_applied += fs.advance_to(b);
+                    policy.observe_conditions(&self.conditions(fs, storage));
+                }
+            }
+            let mut span = match faults.as_ref().and_then(|fs| fs.next_boundary(*time)) {
+                Some(b) if b - *time < remaining => b - *time,
+                _ => remaining,
+            };
+            if remaining - span <= residual_floor {
+                // Widen to absorb a boundary landing within
+                // floating-point residual of the stretch end.
+                span = remaining;
+            }
+            let deficit_before = metrics.deficit_time;
+            self.integrate_span(
+                phase,
+                load,
+                span,
+                time,
+                policy,
+                storage,
+                metrics,
+                faults.as_ref(),
+                recorder,
+            )?;
+            if let Some(fs) = faults.as_ref() {
+                if fs.any_active() {
+                    metrics.fault_deficit_time += metrics.deficit_time - deficit_before;
+                }
+                if policy.resilience().is_some_and(|s| s.degraded) {
+                    metrics.time_in_fallback += span;
+                }
+            }
+            remaining -= span;
+        }
+        Ok(())
+    }
+
+    /// Closes a run: the resilience ladder's tally and the final state
+    /// of charge.
+    pub(crate) fn finish(
+        mut metrics: SimMetrics,
+        policy: &dyn FcOutputPolicy,
+        storage: &dyn ChargeStorage,
+    ) -> SimResult {
+        if let Some(status) = policy.resilience() {
+            metrics.degradations = status.degradations;
+        }
+        metrics.final_soc = storage.soc();
+        SimResult { metrics }
     }
 
     /// Integrates one fault-free span of a constant-load stretch under
@@ -444,7 +548,8 @@ impl<'a> HybridSimulator<'a> {
     /// Integrates one plan phase: in closed form on the fast path, chunk
     /// by chunk (feeding the recorder) when coalescing is off or the
     /// recorder is still inside its horizon. Both shapes drive the same
-    /// setpoint over the same duration, so they agree to float residual.
+    /// setpoint over the same duration and enforce a capacity fade at
+    /// the same point, the phase end, so they agree to float residual.
     #[allow(clippy::too_many_arguments)]
     fn integrate_phase(
         &self,
@@ -479,6 +584,7 @@ impl<'a> HybridSimulator<'a> {
             *time += dt;
             chunk_remaining -= dt;
         }
+        Self::bleed_faded_excess(faults, storage, metrics);
         Ok(())
     }
 
@@ -508,6 +614,7 @@ impl<'a> HybridSimulator<'a> {
             let demanded = policy.segment_current(phase, load, storage.soc());
             metrics.policy_consultations += 1;
             let (i_f, i_fc) = self.integrate_chunk(load, demanded, dt, storage, metrics, faults)?;
+            Self::bleed_faded_excess(faults, storage, metrics);
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.record_chunk(*time, dt, load, i_f, i_fc, storage.soc());
             }
@@ -623,11 +730,6 @@ impl<'a> HybridSimulator<'a> {
                     continue;
                 }
 
-                if let Some(fs) = faults.as_mut() {
-                    metrics.faults_applied += fs.advance_to(time);
-                    policy.observe_conditions(&self.conditions(fs, storage));
-                }
-
                 // Immediately following segments in the same phase at
                 // the same load are indistinguishable to the policy, so
                 // they merge into one constant-load stretch and the
@@ -648,69 +750,17 @@ impl<'a> HybridSimulator<'a> {
                         }
                     }
                 }
-
-                // Integrate the stretch span by span: a span ends at the
-                // stretch end or at the next fault boundary, whichever
-                // comes first, so no fault edge falls inside a
-                // closed-form integration (and the per-chunk path sees
-                // the same span edges as the fast path).
-                let residual_floor = self.control_step * RESIDUAL_FLOOR_FRACTION;
-                let mut remaining = duration;
-                let mut first_span = true;
-                while remaining > Seconds::ZERO {
-                    if !first_span {
-                        if let Some(fs) = faults.as_mut() {
-                            metrics.faults_applied += fs.advance_to(time);
-                            policy.observe_conditions(&self.conditions(fs, storage));
-                        }
-                    }
-                    // The two integration modes accumulate `time` through
-                    // different float additions, so a fault boundary can
-                    // land a few ulps after one mode's clock and dead-on
-                    // the other's. A boundary within the residual floor is
-                    // "now": apply it before planning the span instead of
-                    // integrating a degenerate sliver in one mode only.
-                    if let Some(fs) = faults.as_mut() {
-                        while let Some(b) = fs.next_boundary(time) {
-                            if b - time > residual_floor {
-                                break;
-                            }
-                            metrics.faults_applied += fs.advance_to(b);
-                            policy.observe_conditions(&self.conditions(fs, storage));
-                        }
-                    }
-                    let mut span = match faults.as_ref().and_then(|fs| fs.next_boundary(time)) {
-                        Some(b) if b - time < remaining => b - time,
-                        _ => remaining,
-                    };
-                    if remaining - span <= residual_floor {
-                        // Widen to absorb a boundary landing within
-                        // floating-point residual of the stretch end.
-                        span = remaining;
-                    }
-                    let deficit_before = metrics.deficit_time;
-                    self.integrate_span(
-                        phase,
-                        seg.load,
-                        span,
-                        &mut time,
-                        policy,
-                        storage,
-                        &mut metrics,
-                        faults.as_ref(),
-                        &mut recorder,
-                    )?;
-                    if let Some(fs) = faults.as_ref() {
-                        if fs.any_active() {
-                            metrics.fault_deficit_time += metrics.deficit_time - deficit_before;
-                        }
-                        if policy.resilience().is_some_and(|s| s.degraded) {
-                            metrics.time_in_fallback += span;
-                        }
-                    }
-                    remaining -= span;
-                    first_span = false;
-                }
+                self.integrate_stretch(
+                    phase,
+                    seg.load,
+                    duration,
+                    &mut time,
+                    policy,
+                    storage,
+                    &mut metrics,
+                    &mut faults,
+                    &mut recorder,
+                )?;
                 si += 1;
             }
 
@@ -724,11 +774,7 @@ impl<'a> HybridSimulator<'a> {
             metrics.slots += 1;
         }
 
-        if let Some(status) = policy.resilience() {
-            metrics.degradations = status.degradations;
-        }
-        metrics.final_soc = storage.soc();
-        Ok(SimResult { metrics })
+        Ok(Self::finish(metrics, policy, storage))
     }
 }
 

@@ -18,6 +18,13 @@
 //! dy1/dt = −I + k·(h2 − h1),   h1 = y1/c
 //! dy2/dt =      −k·(h2 − h1),  h2 = y2/(1 − c)
 //! ```
+//!
+//! An empty available well under a demand the valve cannot match stays
+//! empty: the load then receives exactly the valve flow `k·h2` and the
+//! rest is deficit. Together with the total charge kept as state, this
+//! makes a step of any length agree with the same time cut into shorter
+//! steps, so the simulator's closed-form phases and its per-chunk
+//! oracle agree on KiBaM as on the lossless buffer.
 
 use fcdpm_units::{Amps, Charge, Seconds};
 
@@ -47,8 +54,11 @@ pub struct KineticBattery {
     k: f64,
     /// Available charge `y1`.
     y1: f64,
-    /// Bound charge `y2`.
-    y2: f64,
+    /// Total charge `y1 + y2`; the bound well holds `total − y1`. The
+    /// total moves only by the net current, so it is kept as its own
+    /// state: a step at open circuit leaves the state of charge
+    /// bit-identical however the time is cut into steps.
+    total: f64,
 }
 
 impl KineticBattery {
@@ -79,7 +89,7 @@ impl KineticBattery {
             c,
             k,
             y1: total * c,
-            y2: total * (1.0 - c),
+            total,
         }
     }
 
@@ -92,7 +102,7 @@ impl KineticBattery {
     /// Charge bound in the slow well (the `y2` well).
     #[must_use]
     pub fn bound(&self) -> Charge {
-        Charge::new(self.y2)
+        Charge::new(self.total - self.y1)
     }
 
     /// Advances the two wells by `dt` under constant current `i`
@@ -102,23 +112,21 @@ impl KineticBattery {
         // Manwell–McGowan closed form with combined rate k' = k/(c(1−c)).
         let kp = self.k / (self.c * (1.0 - self.c));
         let e = (-kp * dt).exp();
-        let y0 = self.y1 + self.y2;
+        let y0 = self.total;
         // The literature states the form for a discharge current I > 0;
         // charging is the same equations with I < 0.
         let discharge = -i;
-        let y1 = self.y1 * e + (y0 * kp * self.c - discharge) * (1.0 - e) / kp
+        self.y1 = self.y1 * e + (y0 * kp * self.c - discharge) * (1.0 - e) / kp
             - discharge * self.c * (kp * dt - 1.0 + e) / kp;
-        let y2 = self.y2 * e + y0 * (1.0 - self.c) * (1.0 - e)
-            - discharge * (1.0 - self.c) * (kp * dt - 1.0 + e) / kp;
-        self.y1 = y1;
-        self.y2 = y2;
+        // The valve conserves charge: only the current moves the total.
+        self.total = y0 + i * dt;
     }
 
     /// Whether a probe state has left the feasible region: available
     /// well negative, or total charge beyond capacity (both with the
     /// rail tolerance the stepper's guards absorb).
     fn violated(&self, probe: &Self) -> bool {
-        probe.y1 < -1e-12 || probe.y1 + probe.y2 > self.capacity.amp_seconds() + 1e-12
+        probe.y1 < -1e-12 || probe.total > self.capacity.amp_seconds() + 1e-12
     }
 
     /// The largest prefix of `dt` for which the available well stays
@@ -144,7 +152,7 @@ impl KineticBattery {
             // cannot go negative under a non-negative current (at y1 = 0
             // both the current and the valve push it up), so the only
             // reachable rail is capacity — a linear crossing.
-            Some(((self.capacity.amp_seconds() - (self.y1 + self.y2)) / i).clamp(0.0, dt))
+            Some(((self.capacity.amp_seconds() - self.total) / i).clamp(0.0, dt))
         } else {
             self.depletion_time(-i, dt)
         };
@@ -182,7 +190,7 @@ impl KineticBattery {
     /// refills it — still feasible).
     fn depletion_time(&self, discharge: f64, dt: f64) -> Option<f64> {
         let kp = self.k / (self.c * (1.0 - self.c));
-        let y0 = self.y1 + self.y2;
+        let y0 = self.total;
         let alpha = self.y1 - y0 * self.c + discharge * (1.0 - self.c) / kp;
         let beta = y0 * self.c - discharge * (1.0 - self.c) / kp;
         let gamma = discharge * self.c;
@@ -288,7 +296,7 @@ impl ChargeStorage for KineticBattery {
     }
 
     fn soc(&self) -> Charge {
-        Charge::new(self.y1 + self.y2)
+        Charge::new(self.total)
     }
 
     fn step(&mut self, net: Amps, dt: Seconds) -> StorageFlow {
@@ -303,24 +311,38 @@ impl ChargeStorage for KineticBattery {
         self.advance(i, feasible);
         // Numerical guards at the boundaries.
         self.y1 = self.y1.max(0.0);
-        let cap = self.capacity.amp_seconds();
-        if self.y1 + self.y2 > cap {
-            let excess = self.y1 + self.y2 - cap;
-            self.y2 = (self.y2 - excess).max(0.0);
-        }
+        self.total = self.total.min(self.capacity.amp_seconds());
+        self.y1 = self.y1.min(self.total);
         let moved = Charge::new((i * feasible).abs());
+        let rest = total - feasible;
         if i >= 0.0 {
             flow.charged = moved;
-            flow.bled = Charge::new(i * (total - feasible));
+            flow.bled = Charge::new(i * rest);
         } else {
             flow.discharged = moved;
-            flow.deficit = Charge::new(-i * (total - feasible));
+            flow.deficit = Charge::new(-i * rest);
         }
-        // The remainder of the step passes at open circuit: the wells
-        // keep equalizing (this is exactly the recovery effect).
-        if total - feasible > 1e-12 {
-            self.advance(0.0, total - feasible);
-            self.y1 = self.y1.max(0.0);
+        if rest > 1e-12 {
+            let bound = self.total - self.y1;
+            let valve = self.k * bound / (1.0 - self.c);
+            if i < 0.0 && valve <= -i {
+                // The available well emptied under a demand the valve
+                // cannot match, so it stays empty for the rest of the
+                // step: the load receives exactly the valve flow
+                // `k·h2`, and the bound well drains exponentially. This
+                // is the limit of ever-shorter steps, so the result does
+                // not depend on how a stretch is cut into steps.
+                let drained = bound * (1.0 - (-self.k * rest / (1.0 - self.c)).exp());
+                self.y1 = 0.0;
+                self.total -= drained;
+                flow.discharged += Charge::new(drained);
+                flow.deficit = Charge::new((-i * rest - drained).max(0.0));
+            } else {
+                // The remainder passes at open circuit: the wells keep
+                // equalizing (this is exactly the recovery effect).
+                self.advance(0.0, rest);
+                self.y1 = self.y1.max(0.0);
+            }
         }
         flow
     }
@@ -328,7 +350,7 @@ impl ChargeStorage for KineticBattery {
     fn set_soc(&mut self, soc: Charge) {
         let total = soc.clamp(Charge::ZERO, self.capacity).amp_seconds();
         self.y1 = total * self.c;
-        self.y2 = total * (1.0 - self.c);
+        self.total = total;
     }
 
     fn step_coalesced(&mut self, net: Amps, duration: Seconds) -> StorageFlow {
@@ -469,7 +491,7 @@ mod tests {
         let convex = KineticBattery::new(Charge::new(100.0), 1.0, 0.3, 0.005);
         let mut drained = KineticBattery::new(Charge::new(100.0), 0.0, 0.3, 0.005);
         drained.y1 = 5.0;
-        drained.y2 = 45.0;
+        drained.total = 50.0;
         let cases = [
             (&convex, -2.0, 60.0),
             (&convex, -0.9, 200.0),
@@ -506,7 +528,7 @@ mod tests {
         // feasible prefix must be the *descending* crossing, not t = 0.
         let mut b = KineticBattery::new(Charge::new(100.0), 0.0, 0.3, 0.05);
         b.y1 = 0.0;
-        b.y2 = 60.0;
+        b.total = 60.0;
         let i = -0.1;
         let dt = 2000.0;
         let analytic = b.feasible_prefix(i, dt);

@@ -2,7 +2,8 @@
 //!
 //! Two families of guarantees:
 //!
-//! * **Coalesced vs per-chunk** — for every reference policy, the
+//! * **Coalesced vs per-chunk** — for every reference policy and
+//!   storage model, with and without faults, the
 //!   closed-form fast path and the per-chunk loop drive the identical
 //!   segment-plan sequence and agree on all counts exactly and on
 //!   accumulated physics to tolerance. Every shipped policy plans in
@@ -12,24 +13,30 @@
 //! * **Control-step invariance** — time-normalized metrics
 //!   (`deficit_time` foremost, the bug this suite pins) do not scale
 //!   with the chunk size, while the per-chunk work counters do.
+//!
+//! Unstructured load profiles (the multi-device workload) play through
+//! the same plan loop, so the first guarantee is also checked over
+//! random profiles.
 
 use fcdpm_core::dpm::PredictiveSleep;
-use fcdpm_core::policy::ConvDpm;
+use fcdpm_core::policy::{AsapDpm, ConvDpm, FcOutputPolicy, PolicyPhase, WindowedAverage};
 use fcdpm_fuelcell::LinearEfficiency;
+use fcdpm_runner::sweep::combined_schedule;
 use fcdpm_sim::fixture::{run_reference, run_reference_on, ReferencePolicy};
 use fcdpm_sim::{HybridSimulator, SimMetrics};
-use fcdpm_storage::IdealStorage;
-use fcdpm_units::{Charge, CurrentRange, Seconds};
-use fcdpm_workload::Scenario;
+use fcdpm_storage::{ChargeStorage, IdealStorage, KineticBattery, SuperCapacitor};
+use fcdpm_units::{Amps, Charge, CurrentRange, Seconds, Volts};
+use fcdpm_workload::{LoadPoint, LoadProfile, Scenario};
+use proptest::prelude::*;
 
 fn close(x: f64, y: f64) -> bool {
     (x - y).abs() <= 1e-6 * (1.0 + x.abs().max(y.abs()))
 }
 
-fn assert_physics_match(a: &SimMetrics, b: &SimMetrics, label: &str) {
-    assert_eq!(a.slots, b.slots, "{label}: slots");
-    assert_eq!(a.sleeps, b.sleeps, "{label}: sleeps");
-    let pairs = [
+/// The first accumulated quantity on which two runs disagree beyond
+/// 1e-6 (relative), if any.
+fn physics_mismatch(a: &SimMetrics, b: &SimMetrics) -> Option<String> {
+    [
         (
             "fuel",
             a.fuel.total().amp_seconds(),
@@ -65,9 +72,17 @@ fn assert_physics_match(a: &SimMetrics, b: &SimMetrics, label: &str) {
             a.final_soc.amp_seconds(),
             b.final_soc.amp_seconds(),
         ),
-    ];
-    for (name, x, y) in pairs {
-        assert!(close(x, y), "{label}: {name} diverged ({x} vs {y})");
+    ]
+    .into_iter()
+    .find(|&(_, x, y)| !close(x, y))
+    .map(|(name, x, y)| format!("{name} diverged ({x} vs {y})"))
+}
+
+fn assert_physics_match(a: &SimMetrics, b: &SimMetrics, label: &str) {
+    assert_eq!(a.slots, b.slots, "{label}: slots");
+    assert_eq!(a.sleeps, b.sleeps, "{label}: sleeps");
+    if let Some(mismatch) = physics_mismatch(a, b) {
+        panic!("{label}: {mismatch}");
     }
 }
 
@@ -83,16 +98,43 @@ fn sim_with_step(scenario: &Scenario, step: f64) -> HybridSimulator<'_> {
 
 #[test]
 fn coalesced_and_per_chunk_agree_for_every_policy() {
+    // Over every storage model, with and without faults: KiBaM's emptied
+    // available well and a faded capacity behave the same whether a
+    // phase is stepped or integrated whole.
     let scenario = Scenario::experiment1();
+    let capacity = fcdpm_sim::fixture::reference_capacity();
     for policy in ReferencePolicy::ALL {
-        let fast = run_reference(&scenario, policy).expect("coalesced run");
-        let slow_sim = HybridSimulator::dac07(&scenario.device).without_coalescing();
-        let slow = run_reference_on(&slow_sim, &scenario, policy).expect("per-chunk run");
-        assert_physics_match(&fast, &slow, policy.label());
-        // Every shipped policy plans in closed form: the fast path never
-        // steps a chunk, the per-chunk path never coalesces one.
-        assert_eq!(fast.chunks_stepped, 0, "{}", policy.label());
-        assert_eq!(slow.chunks_coalesced, 0, "{}", policy.label());
+        for storage in 0..3 {
+            for faulted in [false, true] {
+                let run = |sim: HybridSimulator<'_>| {
+                    let sim = if faulted {
+                        sim.with_faults(combined_schedule(3))
+                    } else {
+                        sim
+                    };
+                    let mut storage = storage_model(storage, capacity);
+                    let mut sleep = PredictiveSleep::new(scenario.rho);
+                    let mut policy = policy.build(&scenario);
+                    sim.run(
+                        &scenario.trace,
+                        &mut sleep,
+                        policy.as_mut(),
+                        storage.as_mut(),
+                    )
+                    .expect("runs")
+                    .metrics
+                };
+                let fast = run(HybridSimulator::dac07(&scenario.device));
+                let slow = run(HybridSimulator::dac07(&scenario.device).without_coalescing());
+                let label = format!("{}, storage {storage}, faulted {faulted}", policy.label());
+                assert_physics_match(&fast, &slow, &label);
+                // Every shipped policy plans in closed form: the fast path
+                // never steps a chunk, the per-chunk path never coalesces
+                // one.
+                assert_eq!(fast.chunks_stepped, 0, "{label}");
+                assert_eq!(slow.chunks_coalesced, 0, "{label}");
+            }
+        }
     }
 }
 
@@ -176,5 +218,98 @@ fn deficit_time_does_not_scale_with_the_control_step() {
             (0.95..1.05).contains(&ratio),
             "deficit_time scaled with the step: {other} s @ {step} s vs {coarse} s @ 0.5 s"
         );
+    }
+}
+
+/// A fixed setpoint, as the runner's `Constant` policy spec holds it.
+#[derive(Debug)]
+struct Constant(Amps);
+
+impl FcOutputPolicy for Constant {
+    fn name(&self) -> &str {
+        "Constant"
+    }
+
+    fn segment_current(&mut self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Amps {
+        self.0
+    }
+
+    fn steady_current(&self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Option<Amps> {
+        Some(self.0)
+    }
+}
+
+fn profile_policy(index: usize, capacity: Charge) -> Box<dyn FcOutputPolicy> {
+    match index {
+        0 => Box::new(ConvDpm::dac07()),
+        1 => Box::new(AsapDpm::dac07(capacity)),
+        2 => Box::new(WindowedAverage::dac07()),
+        _ => Box::new(Constant(Amps::new(0.6))),
+    }
+}
+
+/// The runner's three storage models, half charged.
+fn storage_model(index: usize, capacity: Charge) -> Box<dyn ChargeStorage> {
+    let initial = capacity * 0.5;
+    match index {
+        0 => Box::new(IdealStorage::new(capacity, initial)),
+        1 => Box::new(SuperCapacitor::new(
+            capacity.amp_seconds() / 6.0,
+            Volts::new(6.0),
+            Volts::new(12.0),
+            0.0,
+            initial,
+        )),
+        _ => Box::new(KineticBattery::new(capacity, 0.5, 0.3, 0.01)),
+    }
+}
+
+proptest! {
+    #[test]
+    fn profile_runs_agree_with_the_per_chunk_oracle(
+        points in prop::collection::vec((0.05f64..160.0, 0.0f64..1.8), 1..16),
+        capacity_as in 2.0f64..40.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let profile = LoadProfile::new(
+            "random",
+            points
+                .iter()
+                .map(|&(duration, current)| LoadPoint {
+                    duration: Seconds::new(duration),
+                    current: Amps::new(current),
+                })
+                .collect(),
+        );
+        let device = fcdpm_device::presets::dvd_camcorder();
+        let capacity = Charge::new(capacity_as);
+        for faulted in [false, true] {
+            let sim = || {
+                let sim = HybridSimulator::dac07(&device);
+                if faulted {
+                    sim.with_faults(combined_schedule(seed))
+                } else {
+                    sim
+                }
+            };
+            for policy in 0..4 {
+                for storage in 0..3 {
+                    let run = |sim: HybridSimulator<'_>| {
+                        let mut policy = profile_policy(policy, capacity);
+                        let mut storage = storage_model(storage, capacity);
+                        sim.run_profile(&profile, policy.as_mut(), storage.as_mut())
+                            .expect("profile runs")
+                            .metrics
+                    };
+                    let fast = run(sim());
+                    let slow = run(sim().without_coalescing());
+                    let label = format!("policy {policy}, storage {storage}, faulted {faulted}");
+                    prop_assert_eq!(fast.chunks_stepped, 0, "{}", label);
+                    prop_assert_eq!(fast.faults_applied, slow.faults_applied, "{}", label);
+                    let mismatch = physics_mismatch(&fast, &slow);
+                    prop_assert!(mismatch.is_none(), "{}: {:?}", label, mismatch);
+                }
+            }
+        }
     }
 }
