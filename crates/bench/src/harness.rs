@@ -82,6 +82,19 @@ struct CoalescingEntry {
     physics_match: bool,
 }
 
+impl CoalescingEntry {
+    /// The entry for `policy`'s coalesced run `fast`.
+    fn new(policy: &str, fast: &SimMetrics, physics_match: bool) -> Self {
+        Self {
+            policy: policy.to_owned(),
+            chunks_stepped: fast.chunks_stepped,
+            chunks_coalesced: fast.chunks_coalesced,
+            policy_consultations: fast.policy_consultations,
+            physics_match,
+        }
+    }
+}
+
 /// One fault-sweep job in the deterministic payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct FaultEntry {
@@ -156,6 +169,40 @@ fn physics_match(a: &SimMetrics, b: &SimMetrics) -> bool {
         )
         && close(a.deficit_time.seconds(), b.deficit_time.seconds())
         && close(a.final_soc.amp_seconds(), b.final_soc.amp_seconds())
+}
+
+/// The acceptance gates on the coalescing A/B section.
+///
+/// A stepped chunk on the fast path means a policy fell back to
+/// per-chunk consultation — every shipped policy plans its segments in
+/// closed form, so that is a regression, not a legitimate slow path.
+/// Piecewise planners re-consult at their SoC crossings, which is
+/// bounded work; anything beyond twice the Conv baseline means a plan
+/// is splitting far more than its trigger state justifies.
+fn coalescing_gates(coalescing: &[CoalescingEntry]) -> Result<(), String> {
+    for entry in coalescing {
+        if entry.chunks_stepped != 0 {
+            return Err(format!(
+                "{}: {} chunks stepped on the coalesced path; every shipped \
+                 policy must plan in closed form",
+                entry.policy, entry.chunks_stepped
+            ));
+        }
+    }
+    let conv_consultations = coalescing
+        .iter()
+        .find(|e| e.policy == ReferencePolicy::Conv.label())
+        .map(|e| e.policy_consultations)
+        .ok_or_else(|| "coalescing section lost the Conv baseline".to_owned())?;
+    for entry in coalescing {
+        if entry.policy_consultations > 2 * conv_consultations {
+            return Err(format!(
+                "{}: {} policy consultations exceed twice the Conv baseline ({})",
+                entry.policy, entry.policy_consultations, conv_consultations
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One arm of an A/B timing: a run that reports its simulator metrics.
@@ -292,47 +339,13 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
             speedup,
             if matches { "ok" } else { "DIVERGED" },
         ));
-        coalescing.push(CoalescingEntry {
-            policy: policy.label().to_owned(),
-            chunks_stepped: fast.chunks_stepped,
-            chunks_coalesced: fast.chunks_coalesced,
-            policy_consultations: fast.policy_consultations,
-            physics_match: matches,
-        });
+        coalescing.push(CoalescingEntry::new(policy.label(), &fast, matches));
     }
     text.push_str(&format!(
         "\nConv camcorder speedup: {conv_speedup:.2}x (acceptance floor: 3x)\n"
     ));
 
-    // Acceptance gates on the A/B section. A stepped chunk on the fast
-    // path means a policy fell back to per-chunk consultation — every
-    // shipped policy plans its segments in closed form now, so that is
-    // a regression, not a legitimate slow path.
-    for entry in &coalescing {
-        if entry.chunks_stepped != 0 {
-            return Err(format!(
-                "{}: {} chunks stepped on the coalesced path; every shipped \
-                 policy must plan in closed form",
-                entry.policy, entry.chunks_stepped
-            ));
-        }
-    }
-    // Piecewise planners re-consult at their SoC crossings, which is
-    // bounded work; anything beyond twice the Conv baseline means a
-    // plan is splitting far more than its trigger state justifies.
-    let conv_consultations = coalescing
-        .iter()
-        .find(|e| e.policy == ReferencePolicy::Conv.label())
-        .map(|e| e.policy_consultations)
-        .ok_or_else(|| "coalescing section lost the Conv baseline".to_owned())?;
-    for entry in &coalescing {
-        if entry.policy_consultations > 2 * conv_consultations {
-            return Err(format!(
-                "{}: {} policy consultations exceed twice the Conv baseline ({})",
-                entry.policy, entry.policy_consultations, conv_consultations
-            ));
-        }
-    }
+    coalescing_gates(&coalescing)?;
 
     // 3. Quick fault-injection sweep through the runner. Always the
     // quick catalogue, so quick and full harness runs produce the same
@@ -622,6 +635,107 @@ fn to_u64(v: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcdpm_core::dpm::PredictiveSleep;
+    use fcdpm_core::policy::{FcOutputPolicy, PolicyPhase, SegmentPlan};
+    use fcdpm_sim::fixture::{reference_storage, run_reference};
+    use fcdpm_units::{Amps, Charge, Seconds};
+
+    /// A constant setpoint with no closed-form plan: the default
+    /// `begin_segment` hands every control chunk to `segment_current`.
+    #[derive(Debug)]
+    struct PerChunkPolicy;
+
+    impl FcOutputPolicy for PerChunkPolicy {
+        fn name(&self) -> &str {
+            "per-chunk"
+        }
+
+        fn segment_current(&mut self, _: PolicyPhase, _: Amps, _: Charge) -> Amps {
+            Amps::new(0.6)
+        }
+    }
+
+    /// A constant setpoint planned in closed form, but whose crossing
+    /// threshold is the state of charge it starts from: every plan ends
+    /// one control chunk in and the policy is consulted again.
+    #[derive(Debug)]
+    struct ReplanningPolicy;
+
+    impl FcOutputPolicy for ReplanningPolicy {
+        fn name(&self) -> &str {
+            "re-planning"
+        }
+
+        fn segment_current(&mut self, _: PolicyPhase, _: Amps, _: Charge) -> Amps {
+            Amps::new(0.6)
+        }
+
+        fn begin_segment(
+            &mut self,
+            _: PolicyPhase,
+            _: Amps,
+            soc: Charge,
+            _: Seconds,
+        ) -> SegmentPlan {
+            SegmentPlan::UntilSocCrossing {
+                current: Amps::new(0.6),
+                threshold: soc,
+                falling: true,
+            }
+        }
+    }
+
+    /// The coalescing entries of the shipped policies on the camcorder
+    /// scenario.
+    fn shipped_entries() -> Vec<CoalescingEntry> {
+        let scenario = Scenario::experiment1_seeded(BENCH_SEED);
+        ReferencePolicy::ALL
+            .iter()
+            .map(|&policy| {
+                let fast = run_reference(&scenario, policy).expect("reference run");
+                CoalescingEntry::new(policy.label(), &fast, true)
+            })
+            .collect()
+    }
+
+    /// The shipped entries plus one for `injected` on the same scenario.
+    fn entries_with(injected: &mut dyn FcOutputPolicy) -> Vec<CoalescingEntry> {
+        let scenario = Scenario::experiment1_seeded(BENCH_SEED);
+        let mut storage = reference_storage();
+        let mut sleep = PredictiveSleep::new(scenario.rho);
+        let fast = HybridSimulator::dac07(&scenario.device)
+            .run(&scenario.trace, &mut sleep, injected, &mut storage)
+            .expect("injected run")
+            .metrics;
+        let mut entries = shipped_entries();
+        entries.push(CoalescingEntry::new(injected.name(), &fast, true));
+        entries
+    }
+
+    #[test]
+    fn coalescing_gates_pass_the_shipped_policies() {
+        assert_eq!(coalescing_gates(&shipped_entries()), Ok(()));
+    }
+
+    #[test]
+    fn chunks_stepped_gate_trips_on_a_per_chunk_plan() {
+        let entries = entries_with(&mut PerChunkPolicy);
+        assert!(entries.last().is_some_and(|e| e.chunks_stepped > 0));
+        let err = coalescing_gates(&entries).expect_err("gate must trip");
+        assert!(err.starts_with("per-chunk:"), "{err}");
+        assert!(err.contains("chunks stepped"), "{err}");
+    }
+
+    #[test]
+    fn consultation_gate_trips_on_a_replanning_policy() {
+        let entries = entries_with(&mut ReplanningPolicy);
+        // The injected policy integrates in closed form, so only the
+        // consultation budget can catch it.
+        assert!(entries.last().is_some_and(|e| e.chunks_stepped == 0));
+        let err = coalescing_gates(&entries).expect_err("gate must trip");
+        assert!(err.starts_with("re-planning:"), "{err}");
+        assert!(err.contains("exceed twice the Conv baseline"), "{err}");
+    }
 
     #[test]
     fn quick_harness_runs_and_is_deterministic() {

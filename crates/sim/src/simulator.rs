@@ -519,7 +519,17 @@ impl<'a> HybridSimulator<'a> {
                     current, threshold, ..
                 } => {
                     let net = self.plan_net(current, load, faults);
-                    match storage.time_to_soc(net, threshold, left) {
+                    // Every phase end clamps the state of charge into a
+                    // faded capacity, so a rise to a threshold above it
+                    // is never seen by the next plan: the storage may
+                    // pass the threshold mid-phase, but the clamp takes
+                    // that back. Run such a plan to the span end.
+                    let faded = faults.map(|fs| storage.capacity() * fs.capacity_scale());
+                    let crossing = match faded {
+                        Some(cap) if threshold > cap && net > Amps::ZERO => None,
+                        _ => storage.time_to_soc(net, threshold, left),
+                    };
+                    match crossing {
                         // Already on the threshold (within residual):
                         // advance one control chunk at the planned
                         // setpoint so the next re-plan sees the strict

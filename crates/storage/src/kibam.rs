@@ -122,6 +122,12 @@ impl KineticBattery {
         self.total = y0 + i * dt;
     }
 
+    /// The valve flow `k·h2` from the bound well into the available one
+    /// (the flow an emptied available well passes on to the load).
+    fn valve(&self) -> f64 {
+        self.k * (self.total - self.y1) / (1.0 - self.c)
+    }
+
     /// Whether a probe state has left the feasible region: available
     /// well negative, or total charge beyond capacity (both with the
     /// rail tolerance the stepper's guards absorb).
@@ -129,22 +135,30 @@ impl KineticBattery {
         probe.y1 < -1e-12 || probe.total > self.capacity.amp_seconds() + 1e-12
     }
 
-    /// The largest prefix of `dt` for which the available well stays
-    /// non-negative (discharge) or the total stays within capacity
-    /// (charge).
+    /// Advances the wells by the largest prefix of `dt` for which the
+    /// available well stays non-negative (discharge) or the total stays
+    /// within capacity (charge), and returns that prefix.
     ///
-    /// Both rails have closed forms: the wells conserve total charge, so
-    /// the capacity rail is hit at the exact *linear* crossing, and the
-    /// available-well rail solves the Manwell–McGowan transcendental via
-    /// Lambert W ([`Self::depletion_time`]). Each analytic candidate is
-    /// validated by one probe advance; bisection remains only as the
-    /// fallback for the degenerate cases where the closed form yields no
-    /// usable root (zero effective discharge, a W argument outside the
-    /// real domain, or a candidate the rail tolerance rejects).
-    fn feasible_prefix(&self, i: f64, dt: f64) -> f64 {
-        let mut probe = self.clone();
-        probe.advance(i, dt);
-        if !self.violated(&probe) {
+    /// The whole of `dt` is tried first; when it stays feasible — the
+    /// common case — its state is kept, so such a step costs a single
+    /// advance. Otherwise both rails have closed forms: the wells
+    /// conserve total charge, so the capacity rail is hit at the exact
+    /// *linear* crossing, and the available-well rail solves the
+    /// Manwell–McGowan transcendental via Lambert W
+    /// ([`Self::depletion_time`]). The analytic candidate is validated by
+    /// advancing to it; bisection remains only as the fallback for the
+    /// degenerate cases where the closed form yields no usable root
+    /// (zero effective discharge, a W argument outside the real domain,
+    /// or a candidate the rail tolerance rejects). A step that starts on
+    /// the empty rail under a demand the valve cannot meet has an empty
+    /// prefix, known without advancing.
+    fn advance_feasible(&mut self, i: f64, dt: f64) -> f64 {
+        if i < 0.0 && self.y1 <= 0.0 && self.valve() <= -i {
+            return 0.0;
+        }
+        let start = self.clone();
+        self.advance(i, dt);
+        if !start.violated(self) {
             return dt;
         }
         let candidate = if i > 0.0 {
@@ -152,18 +166,21 @@ impl KineticBattery {
             // cannot go negative under a non-negative current (at y1 = 0
             // both the current and the valve push it up), so the only
             // reachable rail is capacity — a linear crossing.
-            Some(((self.capacity.amp_seconds() - self.total) / i).clamp(0.0, dt))
+            Some(((start.capacity.amp_seconds() - start.total) / i).clamp(0.0, dt))
         } else {
-            self.depletion_time(-i, dt)
+            start.depletion_time(-i, dt)
         };
         if let Some(t) = candidate {
-            let mut probe = self.clone();
-            probe.advance(i, t);
-            if !self.violated(&probe) {
+            *self = start.clone();
+            self.advance(i, t);
+            if !start.violated(self) {
                 return t;
             }
         }
-        self.bisect_prefix(i, dt)
+        let t = start.bisect_prefix(i, dt);
+        *self = start;
+        self.advance(i, t);
+        t
     }
 
     /// Analytic time at which the available well empties under constant
@@ -219,7 +236,7 @@ impl KineticBattery {
         crossing
     }
 
-    /// Bisection fallback for [`Self::feasible_prefix`] (the pre-analytic
+    /// Bisection fallback for [`Self::advance_feasible`] (the pre-analytic
     /// implementation): 60 probe halvings on the violation predicate.
     fn bisect_prefix(&self, i: f64, dt: f64) -> f64 {
         let (mut lo, mut hi) = (0.0f64, dt);
@@ -307,8 +324,7 @@ impl ChargeStorage for KineticBattery {
         }
         let i = net.amps();
         let total = dt.seconds();
-        let feasible = self.feasible_prefix(i, total);
-        self.advance(i, feasible);
+        let feasible = self.advance_feasible(i, total);
         // Numerical guards at the boundaries.
         self.y1 = self.y1.max(0.0);
         self.total = self.total.min(self.capacity.amp_seconds());
@@ -324,8 +340,7 @@ impl ChargeStorage for KineticBattery {
         }
         if rest > 1e-12 {
             let bound = self.total - self.y1;
-            let valve = self.k * bound / (1.0 - self.c);
-            if i < 0.0 && valve <= -i {
+            if i < 0.0 && self.valve() <= -i {
                 // The available well emptied under a demand the valve
                 // cannot match, so it stays empty for the rest of the
                 // step: the load receives exactly the valve flow
@@ -353,9 +368,58 @@ impl ChargeStorage for KineticBattery {
         self.total = total;
     }
 
+    /// Linear while the available well is non-empty — the wells
+    /// conserve total charge, so the state of charge moves at exactly
+    /// `net`. A discharge that empties the well first continues on the
+    /// empty rail, where the state of charge falls only as the bound
+    /// well drains through the valve: `total(t_d + s) = total_d −
+    /// bound_d·(1 − e^(−k·s/(1−c)))` from the depletion time `t_d`
+    /// where `advance_feasible` stops, solved for the target in closed
+    /// form. A target below that drain's asymptote, or past the
+    /// horizon, is `None`.
+    fn time_to_soc(&self, net: Amps, target: Charge, horizon: Seconds) -> Option<Seconds> {
+        let (i, target, horizon) = (net.amps(), target.amp_seconds(), horizon.seconds());
+        if i == 0.0 || target < 0.0 || target > self.capacity.amp_seconds() {
+            return None;
+        }
+        let linear = (target - self.total) / i;
+        if linear < 0.0 {
+            return None;
+        }
+        // Charging moves the total at exactly `i` up to capacity, and the
+        // target lies within it. A discharge does the same until the
+        // available well empties; one advance rules that out cheaply.
+        let reach = linear.min(horizon);
+        let mut probe = self.clone();
+        let depleted = if i > 0.0 {
+            reach
+        } else {
+            probe.advance_feasible(i, reach)
+        };
+        if depleted >= reach {
+            return (linear <= horizon).then_some(Seconds::new(linear));
+        }
+        // `probe` is the state `step` reaches at the depletion time; apply
+        // its boundary guard.
+        probe.y1 = probe.y1.max(0.0).min(probe.total);
+        let bound = probe.total - probe.y1;
+        if probe.valve() > -i || bound <= 0.0 {
+            // `step` passes the rest at open circuit: the state of
+            // charge stays put, short of the target.
+            return None;
+        }
+        let fraction = (probe.total - target) / bound;
+        if fraction >= 1.0 {
+            return None;
+        }
+        let drain = -(-fraction.max(0.0)).ln_1p() * (1.0 - self.c) / self.k;
+        let t = depleted + drain;
+        (t <= horizon).then_some(Seconds::new(t))
+    }
+
     fn step_coalesced(&mut self, net: Amps, duration: Seconds) -> StorageFlow {
         // `step` already solves the two-well ODE in closed form for an
-        // arbitrary duration and bisects the rail crossing itself; the
+        // arbitrary duration and finds the rail crossing itself; the
         // default lossless-projection split would disagree with the
         // diffusion-limited boundary.
         self.step(net, duration)
@@ -365,6 +429,12 @@ impl ChargeStorage for KineticBattery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The feasible prefix of a step, leaving the battery untouched.
+    fn feasible_prefix(b: &KineticBattery, i: f64, dt: f64) -> f64 {
+        b.clone().advance_feasible(i, dt)
+    }
 
     fn battery() -> KineticBattery {
         KineticBattery::new(Charge::new(100.0), 1.0, 0.3, 0.005)
@@ -499,7 +569,7 @@ mod tests {
             (&drained, -0.25, 400.0),
         ];
         for (batt, i, dt) in cases {
-            let analytic = batt.feasible_prefix(i, dt);
+            let analytic = feasible_prefix(batt, i, dt);
             let bisected = batt.bisect_prefix(i, dt);
             assert!(
                 analytic < dt,
@@ -514,7 +584,7 @@ mod tests {
         }
         // Charge rail: linear crossing vs bisection.
         let nearly_full = KineticBattery::new(Charge::new(100.0), 0.95, 0.3, 0.005);
-        let analytic = nearly_full.feasible_prefix(2.0, 60.0);
+        let analytic = feasible_prefix(&nearly_full, 2.0, 60.0);
         let bisected = nearly_full.bisect_prefix(2.0, 60.0);
         assert!(analytic < 60.0);
         assert!((analytic - bisected).abs() < 1e-6);
@@ -531,12 +601,171 @@ mod tests {
         b.total = 60.0;
         let i = -0.1;
         let dt = 2000.0;
-        let analytic = b.feasible_prefix(i, dt);
+        let analytic = feasible_prefix(&b, i, dt);
         let bisected = b.bisect_prefix(i, dt);
         assert!(
             analytic > 1.0,
             "prefix collapsed to the touching root: {analytic}"
         );
         assert!((analytic - bisected).abs() < 1e-6);
+    }
+
+    #[test]
+    fn time_to_soc_follows_the_valve_limited_drain() {
+        // 1 A against a 3 A·s available well: the well empties after
+        // about 3 s, before the linear crossing (5 A·s at 5 s), and the
+        // state of charge then falls only as the valve drains the bound
+        // well.
+        let b = KineticBattery::new(Charge::new(10.0), 1.0, 0.3, 0.01);
+        let (net, target) = (Amps::new(-1.0), Charge::new(5.0));
+        let t = b
+            .time_to_soc(net, target, Seconds::new(3600.0))
+            .expect("the drain reaches half charge within the hour");
+        assert!(
+            t.seconds() > 5.0,
+            "the crossing is past the linear one: {t:?}"
+        );
+        let mut stepped = b.clone();
+        stepped.step(net, t);
+        assert!(stepped.soc().approx_eq(target, 1e-9));
+        // Within a horizon that ends before it, there is no crossing.
+        assert!(b.time_to_soc(net, target, t - Seconds::new(1.0)).is_none());
+        // The drain only approaches the available well's level: from an
+        // emptied well, a target at zero is never reached.
+        assert!(stepped
+            .time_to_soc(net, Charge::ZERO, Seconds::new(1e6))
+            .is_none());
+    }
+
+    #[test]
+    fn empty_well_under_unmet_demand_has_an_empty_prefix() {
+        let mut b = KineticBattery::new(Charge::new(100.0), 0.0, 0.3, 0.005);
+        b.y1 = 0.0;
+        b.total = 40.0;
+        // The valve passes k·h2 ≈ 0.29 A; a 1 A demand is not met.
+        assert_eq!(feasible_prefix(&b, -1.0, 30.0), 0.0);
+        let flow = b.step(Amps::new(-1.0), Seconds::new(30.0));
+        assert!(flow.deficit > Charge::ZERO);
+        assert_eq!(b.available(), Charge::ZERO);
+    }
+
+    /// A KiBaM state drawn for the oracles: wells at equilibrium, with
+    /// an emptied available well, or anywhere out of equilibrium.
+    fn drawn_battery(
+        capacity: f64,
+        c: f64,
+        k: f64,
+        fill: f64,
+        mode: u32,
+        split: f64,
+    ) -> KineticBattery {
+        let mut b = KineticBattery::new(Charge::new(capacity), fill, c, k);
+        b.y1 = match mode {
+            0 => 0.0,
+            1 => b.total * c,
+            _ => b.total * split,
+        };
+        b
+    }
+
+    /// The state of charge a single `step` of `t` reaches.
+    fn soc_after(b: &KineticBattery, net: f64, t: f64) -> f64 {
+        let mut stepped = b.clone();
+        stepped.step(Amps::new(net), Seconds::new(t));
+        stepped.total
+    }
+
+    proptest! {
+        /// The closed-form rail crossing of `advance_feasible` lands where
+        /// the bisection over the violation predicate lands. Bisection
+        /// finds the edge of the 1e-12 rail tolerance rather than the
+        /// rail itself, which is `1e-12 / |rate|` later, so that gap is
+        /// allowed on top of 1e-9 of the step.
+        #[test]
+        fn feasible_prefix_agrees_with_bisection(
+            capacity in 1.0f64..500.0,
+            c in 0.05f64..0.95,
+            k in 1e-4f64..0.2,
+            fill in 0.0f64..1.0,
+            mode in 0u32..3,
+            split in 0.0f64..1.0,
+            rate in 0.0f64..1.0,
+            charging in any::<bool>(),
+            dt in 0.1f64..3000.0,
+        ) {
+            let b = drawn_battery(capacity, c, k, fill, mode, split);
+            let magnitude = rate * capacity / 20.0;
+            let i = if charging { magnitude } else { -magnitude };
+            let analytic = feasible_prefix(&b, i, dt);
+            let bisected = b.bisect_prefix(i, dt);
+            let mut at = b.clone();
+            at.advance(i, analytic);
+            // How fast the binding rail's quantity moves at the crossing:
+            // the total at `i` when charging, the available well at
+            // `−I + k·(h2 − h1)` when discharging.
+            let speed = if charging {
+                i.abs()
+            } else {
+                (i + k * ((at.total - at.y1) / (1.0 - c) - at.y1 / c)).abs()
+            };
+            let slack = 1e-9 * dt + 2e-12 / speed;
+            prop_assert!(
+                (analytic - bisected).abs() <= slack,
+                "closed form {analytic} vs bisection {bisected} (slack {slack})"
+            );
+        }
+
+        /// `time_to_soc` is where stepping crosses the target: a step
+        /// just short of it stays on the near side, a step just past it
+        /// reaches the target, and `None` means a step over the whole
+        /// horizon never does.
+        #[test]
+        fn time_to_soc_agrees_with_stepping(
+            capacity in 1.0f64..500.0,
+            c in 0.05f64..0.95,
+            k in 1e-4f64..0.2,
+            fill in 0.0f64..1.0,
+            mode in 0u32..3,
+            split in 0.0f64..1.0,
+            rate in 0.0f64..1.0,
+            charging in any::<bool>(),
+            target_fraction in 0.0f64..1.0,
+            horizon in 1.0f64..5000.0,
+        ) {
+            let b = drawn_battery(capacity, c, k, fill, mode, split);
+            let magnitude = rate * capacity / 20.0;
+            let net = if charging { magnitude } else { -magnitude };
+            let target = target_fraction * capacity;
+            // Whether a state of charge is still short of the target in
+            // the direction the net current moves it.
+            let short = |soc: f64| if charging { soc < target } else { soc > target };
+            let projected = b.time_to_soc(Amps::new(net), Charge::new(target), Seconds::new(horizon));
+            if !short(b.total) {
+                // Already on the target, or moving away from it.
+                let expected = (b.total == target && net != 0.0).then_some(Seconds::ZERO);
+                prop_assert_eq!(projected, expected);
+                return Ok(());
+            }
+            match projected {
+                Some(t) => {
+                    let t = t.seconds();
+                    prop_assert!((0.0..=horizon).contains(&t), "t = {t} outside the horizon");
+                    let eps = 1e-6 * t.max(1.0);
+                    if t > eps {
+                        let before = soc_after(&b, net, t - eps);
+                        prop_assert!(short(before), "at t − ε the SoC {before} already passed {target}");
+                    }
+                    let after = soc_after(&b, net, t + eps);
+                    prop_assert!(!short(after), "at t + ε = {} the SoC {after} has not reached {target}", t + eps);
+                }
+                None => {
+                    let end = soc_after(&b, net, horizon);
+                    prop_assert!(
+                        short(end),
+                        "no crossing projected, but stepping the horizon reaches {end} past {target}"
+                    );
+                }
+            }
+        }
     }
 }

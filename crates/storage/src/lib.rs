@@ -140,25 +140,32 @@ pub trait ChargeStorage: core::fmt::Debug {
         flow
     }
 
-    /// The time at which the state of charge would reach `target` under
-    /// constant net current `net`, if that happens within `horizon`.
+    /// The time at which the state of charge, as [`step`] evolves it
+    /// under constant net current `net`, reaches `target`, if that
+    /// happens within `horizon`.
     ///
-    /// Returns `Some(t)` with `0 ≤ t ≤ horizon` when the projection
-    /// crosses `target` (a zero `t` means the state of charge already
-    /// sits on the target), and `None` when it never does within the
-    /// horizon — wrong direction, zero net, or too far away. Callers
-    /// (the simulator's plan-crossing split) treat `None` as "run the
-    /// plan to the end of the segment".
+    /// Returns `Some(t)` with `0 ≤ t ≤ horizon` when a `step` of `t`
+    /// brings the state of charge to `target` (a zero `t` means it
+    /// already sits on the target), and `None` when no step within the
+    /// horizon does — wrong direction, zero net, too far away, or a
+    /// target the rails make unreachable. Callers (the simulator's
+    /// plan-crossing split) end a plan phase at `t` and treat `None` as
+    /// "run the plan to the end of the segment", so the projection must
+    /// respect every rail `step` enforces: a crossing projected past a
+    /// rail never happens, the phase ends short of the target, and the
+    /// caller re-plans for nothing.
     ///
-    /// The default projects linearly, `t = (target − soc) / net`, which
-    /// is exact for every model whose state of charge obeys
-    /// `d soc/dt = net` between the rails — including [`KineticBattery`],
-    /// whose two wells conserve total charge while the available well is
-    /// non-empty. A rail hit before `t` stalls the state of charge short
-    /// of the target; the caller re-plans from the stalled state, so the
-    /// projection needs no rail awareness here.
+    /// The default projects linearly, `t = (target − soc) / net`, and
+    /// treats a target outside `[0, capacity]` as unreachable. That is
+    /// exact for every element whose state of charge obeys
+    /// `d soc/dt = net` between the rails ([`IdealStorage`], the
+    /// leak-free DAC'07 [`SuperCapacitor`]). A model whose rate changes
+    /// at a rail overrides it: once [`KineticBattery`]'s available well
+    /// empties, its state of charge falls only at the valve rate.
+    ///
+    /// [`step`]: ChargeStorage::step
     fn time_to_soc(&self, net: Amps, target: Charge, horizon: Seconds) -> Option<Seconds> {
-        if net.is_zero() {
+        if net.is_zero() || target.is_negative() || target > self.capacity() {
             return None;
         }
         let t = (target - self.soc()) / net;
@@ -277,6 +284,13 @@ mod trait_tests {
             .is_none());
         assert!(s
             .time_to_soc(Amps::new(0.5), Charge::new(6.0), Seconds::new(1.0))
+            .is_none());
+        // A target beyond a rail is unreachable, however long the step.
+        assert!(s
+            .time_to_soc(Amps::new(0.5), Charge::new(10.5), Seconds::new(100.0))
+            .is_none());
+        assert!(s
+            .time_to_soc(Amps::new(-0.5), Charge::new(-0.5), Seconds::new(100.0))
             .is_none());
         // Already at the target → Some(0).
         let t = s

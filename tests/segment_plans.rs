@@ -14,11 +14,16 @@
 //! * **Control-step invariance** — the plan split points come from
 //!   `time_to_soc`, not the chunk grid, so `deficit_time` and the
 //!   other time-normalized metrics do not move with the control step.
+//! * **Consultation budget** — a crossing plan ends once, where the
+//!   state of charge really crosses, so no policy consults much more
+//!   often than Conv-DPM on any storage model or fault schedule.
 
 use fcdpm_faults::{
     EfficiencyFade, FaultEvent, FaultKind, FaultSchedule, FuelStarvation, SelfDischarge,
 };
 use fcdpm_fuelcell::LinearEfficiency;
+use fcdpm_runner::sweep::combined_schedule;
+use fcdpm_runner::{execute, JobSpec, PolicySpec, StorageSpec, WorkloadSpec};
 use fcdpm_sim::fixture::{run_reference_on, ReferencePolicy};
 use fcdpm_sim::{HybridSimulator, SimMetrics};
 use fcdpm_units::{CurrentRange, Seconds, Watts};
@@ -241,4 +246,78 @@ proptest! {
             }
         }
     }
+}
+
+/// Policy consultations may exceed Conv-DPM's on the same trace,
+/// storage and fault schedule by at most this factor. Conv consults
+/// once per stretch and fault span; a crossing planner adds one
+/// consultation per real threshold crossing on top. A crossing
+/// projected past a rail the storage or a capacity fade enforces
+/// never happens, and every such phantom costs a re-plan: with
+/// projections that ignore the rails, ASAP reaches 1.8× Conv on a
+/// faded ideal store and 3.5× on KiBaM over these jobs.
+const CONSULTATION_BUDGET: f64 = 1.25;
+
+/// Every shipped policy × {Ideal, SuperCapacitor, KiBaM} × {no faults,
+/// Combined} on Experiments 1 and 2 and the DVS workload, over several
+/// trace seeds, stays within [`CONSULTATION_BUDGET`] of Conv-DPM's
+/// consultations on the same job. `fcdpm bench` gates only the
+/// fault-free ideal camcorder run, which sees neither rail.
+#[test]
+fn consultations_stay_within_budget_across_storages_and_faults() {
+    let policies = [
+        PolicySpec::Asap,
+        PolicySpec::FcDpm,
+        PolicySpec::WindowedAverage,
+        PolicySpec::Quantized(12),
+    ];
+    let workloads: [fn(u64) -> WorkloadSpec; 3] = [
+        WorkloadSpec::Experiment1,
+        WorkloadSpec::Experiment2,
+        WorkloadSpec::Dvs,
+    ];
+    let consultations = |policy: &PolicySpec, base: &JobSpec, label: &str| -> u64 {
+        let mut job = base.clone();
+        job.policy = policy.clone();
+        execute(&job)
+            .unwrap_or_else(|e| panic!("{}/{label}: {e}", policy.label()))
+            .policy_consultations
+    };
+    let mut over = Vec::new();
+    for seed in [0xDAC0_2007, 7, 17, 201] {
+        for workload in workloads {
+            for storage in [
+                StorageSpec::Ideal,
+                StorageSpec::SuperCapacitor,
+                StorageSpec::Kibam,
+            ] {
+                for faulted in [false, true] {
+                    let mut base = JobSpec::new(PolicySpec::Conv, workload(seed));
+                    base.storage = Some(storage.clone());
+                    base.faults = faulted.then(|| combined_schedule(seed));
+                    let label = format!(
+                        "{}/{storage:?}/{}",
+                        base.workload.label(),
+                        if faulted { "combined" } else { "no faults" }
+                    );
+                    let conv = consultations(&PolicySpec::Conv, &base, &label);
+                    for policy in &policies {
+                        let n = consultations(policy, &base, &label);
+                        if n as f64 > CONSULTATION_BUDGET * conv as f64 {
+                            over.push(format!(
+                                "{}/{label}: {n} consultations vs Conv's {conv} ({:.2}x)",
+                                policy.label(),
+                                n as f64 / conv as f64
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "over the {CONSULTATION_BUDGET}x Conv budget:\n{}",
+        over.join("\n")
+    );
 }
